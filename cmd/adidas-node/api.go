@@ -190,10 +190,12 @@ func (s *apiSession) handle(reply func(format string, args ...any), fields []str
 		dc := s.mw.DataCenter(s.self)
 		puts, scanned := dc.Store().Stats()
 		reply("STORE-LEN %d", dc.Store().Len())
+		reply("STORE-GENERATIONS %d", dc.Store().Generations())
 		reply("STORE-PUTS %d", puts)
 		reply("STORE-SCANNED %d", scanned)
-		// Lock-free read path: snapshot publications, copy-on-write
-		// volume, decode-arena hit rate, and the UDP datagram plane.
+		// Lock-free read path: store publications, entries moved by
+		// generation seals and the seals themselves, decode-arena hit
+		// rate, and the UDP datagram plane.
 		dp := gatherDataPlane(s.node, dc)
 		reply("STORE-EPOCHS %d", dp.StoreEpochs)
 		reply("STORE-COW-COPIED %d", dp.StoreCowCopied)
@@ -209,6 +211,11 @@ func (s *apiSession) handle(reply func(format string, args ...any), fields []str
 		reply("ADMIT-SHED %d", dp.AdmitShed)
 		reply("SUBS %d", dc.SubCount())
 		reply("STANDING-SUBS %d", dc.StandingSubCount())
+		// Responses and match pushes that arrived for a query unknown here
+		// or expired for over a push period (client state is loop-confined).
+		var late int64
+		s.do(func() { late = s.mw.LateDeliveries() })
+		reply("LATE-DELIVERIES %d", late)
 		reply("DROPPED %d", s.node.Dropped())
 		reply("END")
 	case "STREAMS":
@@ -369,7 +376,7 @@ func parseFeature(arg string, dims int) (summary.Feature, error) {
 }
 
 // gatherDataPlane assembles the read-path counter snapshot from its three
-// sources: the MBR store's snapshot lifecycle, the transport's decode
+// sources: the MBR store's generation lifecycle, the transport's decode
 // arenas, and the UDP datagram plane.
 func gatherDataPlane(node *transport.Node, dc *core.DataCenter) metrics.DataPlane {
 	ss := dc.Store().SnapStats()

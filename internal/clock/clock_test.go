@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -145,6 +146,89 @@ func TestWallTickerStopsItself(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if tk.Fires() != fires {
 		t.Fatal("ticker kept firing after stopping itself")
+	}
+}
+
+// TestWallTickerRearmsAfterCallback pins the re-arm rule: the next firing is
+// scheduled only after the callback returns, so a callback slower than the
+// period delays the train — firings never overlap, never stack up behind
+// the slow one, and stop for good on Stop.
+func TestWallTickerRearmsAfterCallback(t *testing.T) {
+	w := NewWall()
+	defer w.Close()
+
+	const slow = 20 * time.Millisecond
+	var starts []time.Time // loop-confined
+	var running, overlapped atomic.Bool
+	tk := w.EveryAfter(0, time1ms(), func() {
+		if !running.CompareAndSwap(false, true) {
+			overlapped.Store(true)
+		}
+		starts = append(starts, time.Now())
+		time.Sleep(slow)
+		running.Store(false)
+	})
+	time.Sleep(5 * slow)
+	tk.Stop()
+	if tk.Active() {
+		t.Fatal("stopped ticker still active")
+	}
+	var got []time.Time
+	w.Do(func() { got = append(got, starts...) })
+	fires := tk.Fires()
+	if overlapped.Load() {
+		t.Fatal("two firings of one ticker overlapped")
+	}
+	// 100 ms of a 1 ms ticker whose callback takes 20 ms: about five
+	// firings, not a hundred.
+	if len(got) < 2 || len(got) > 7 {
+		t.Fatalf("slow ticker fired %d times in %v, want about %d", len(got), 5*slow, 5)
+	}
+	if fires != uint64(len(got)) {
+		t.Fatalf("Fires() = %d, callback ran %d times", fires, len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if gap := got[i].Sub(got[i-1]); gap < slow {
+			t.Fatalf("firing %d started %v after the previous one, before its %v callback returned", i, gap, slow)
+		}
+	}
+	time.Sleep(2 * slow)
+	if tk.Fires() != fires {
+		t.Fatal("ticker kept firing after Stop")
+	}
+}
+
+// TestWallTickerFiringAllocatesNothing guards the per-tick cost of the
+// saturated ingest path: a ticker owns one OS timer and one posted func for
+// its whole life, so thousands of firings allocate (next to) nothing —
+// re-arming used to cost a timer and a closure each.
+func TestWallTickerFiringAllocatesNothing(t *testing.T) {
+	w := NewWall()
+	defer w.Close()
+
+	const fires = 2000
+	done := make(chan struct{})
+	var ms0, ms1 runtime.MemStats
+	var tk Ticker
+	w.Do(func() {
+		tk = w.EveryAfter(0, sim.Microsecond, func() {
+			switch tk.Fires() {
+			case 100: // warmed up
+				runtime.ReadMemStats(&ms0)
+			case 100 + fires:
+				runtime.ReadMemStats(&ms1)
+				tk.Stop()
+				close(done)
+			}
+		})
+	})
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("ticker stalled after %d fires", tk.Fires())
+	}
+	if perFire := float64(ms1.Mallocs-ms0.Mallocs) / fires; perFire > 0.2 {
+		t.Fatalf("ticker allocated %.2f objects per firing, want none", perFire)
 	}
 }
 

@@ -214,6 +214,9 @@ type wallTicker struct {
 	w      *Wall
 	period sim.Time
 	fn     func()
+	// run is tk.tick as a func value, built once: posting the method value
+	// directly would allocate a closure on every firing.
+	run func()
 
 	stopped atomic.Bool
 	fires   atomic.Uint64
@@ -224,7 +227,9 @@ type wallTicker struct {
 
 // EveryAfter implements Clock. The callback runs on the loop; as in the
 // simulator, the next firing is scheduled only after the callback returns,
-// so a slow callback delays the train instead of stacking up.
+// so a slow callback delays the train instead of stacking up. A ticker
+// owns one OS timer for its whole life and re-arms it with Reset: firing
+// allocates nothing.
 func (w *Wall) EveryAfter(initial, period sim.Time, fn func()) Ticker {
 	if period <= 0 {
 		panic("clock: non-positive ticker period")
@@ -233,40 +238,34 @@ func (w *Wall) EveryAfter(initial, period sim.Time, fn func()) Ticker {
 		panic("clock: nil ticker function")
 	}
 	tk := &wallTicker{w: w, period: period, fn: fn}
-	tk.arm(initial)
+	tk.run = tk.tick
+	tk.mu.Lock()
+	tk.t = time.AfterFunc(Duration(initial), func() { w.Post(tk.run) })
+	tk.mu.Unlock()
 	return tk
 }
 
-func (tk *wallTicker) arm(d sim.Time) {
-	tk.mu.Lock()
-	defer tk.mu.Unlock()
-	if tk.stopped.Load() {
-		return
-	}
-	tk.t = time.AfterFunc(Duration(d), func() {
-		tk.w.Post(tk.run)
-	})
-}
-
-func (tk *wallTicker) run() {
+func (tk *wallTicker) tick() {
 	if tk.stopped.Load() {
 		return
 	}
 	tk.fires.Add(1)
 	tk.fn()
-	if tk.stopped.Load() { // fn may stop its own ticker
-		return
+	// Re-arm only now that fn has returned. The timer has fired, so Reset
+	// schedules its func anew; under mu, so a concurrent Stop either sees
+	// the re-armed timer and stops it or has set stopped already.
+	tk.mu.Lock()
+	if !tk.stopped.Load() { // fn may stop its own ticker
+		tk.t.Reset(Duration(tk.period))
 	}
-	tk.arm(tk.period)
+	tk.mu.Unlock()
 }
 
 // Stop implements Ticker.
 func (tk *wallTicker) Stop() {
 	tk.stopped.Store(true)
 	tk.mu.Lock()
-	if tk.t != nil {
-		tk.t.Stop()
-	}
+	tk.t.Stop()
 	tk.mu.Unlock()
 }
 

@@ -124,14 +124,17 @@ type localStream struct {
 	sketch *summary.Sketch
 
 	ticker clock.Ticker
+	// ingest is the closure streamTick hands the data-plane pool, built
+	// once at registration instead of once per tick.
+	ingest func()
 }
 
 func newDataCenter(id dht.Key, mw *Middleware) *DataCenter {
 	// A substrate without a data-plane pool (the simulator) runs every
 	// store access on one goroutine, so it gets the exclusive in-place
-	// store — no copy-on-write churn in virtual-time runs. Substrates that
-	// can run data frames concurrently (the live transport, even when
-	// configured to serialize) get lock-free published snapshots.
+	// store and its historical walk order. Substrates that can run data
+	// frames concurrently (the live transport, even when configured to
+	// serialize) get the generational store and its lock-free walks.
 	store := NewStore()
 	if _, ok := mw.net.(dht.PoolProvider); ok {
 		store = NewShardedStore(mw.cfg.StoreShards)
@@ -253,6 +256,7 @@ func (dc *DataCenter) RegisterStream(st stream.Stream) error {
 		}
 		ls.sdft.PushBatch(hist)
 	}
+	ls.ingest = func() { dc.ingest(ls) }
 	phase := dc.mw.rng.UniformTime(0, st.Period)
 	ls.ticker = dc.mw.clk.EveryAfter(phase, st.Period, func() { dc.streamTick(ls) })
 
@@ -272,10 +276,10 @@ func (dc *DataCenter) streamTick(ls *localStream) {
 		ls.ticker.Stop()
 		return
 	}
-	if dc.pool != nil && dc.pool.TrySubmit(func() { dc.ingest(ls) }) {
+	if dc.pool != nil && dc.pool.TrySubmit(ls.ingest) {
 		return
 	}
-	dc.ingest(ls)
+	ls.ingest()
 }
 
 // ingest advances one stream by one value: generator, sliding DFT, batcher,
@@ -616,11 +620,14 @@ func (dc *DataCenter) startTicker() {
 	dc.ticker = dc.mw.clk.EveryAfter(phase, period, dc.periodTick)
 }
 
-// periodTick runs once per push period: sweep the store, then run every
-// operator's periodic slice — sweeping its soft state, funneling
-// similarity information one hop toward middle nodes, pushing aggregated
-// responses, inner-product values, subscription matches, sketch reports
-// and frequency tables, and refreshing standing registrations.
+// periodTick runs once per push period: sweep the store (on the live node
+// that only unlinks expired generations — no entry is copied on the loop),
+// then run every operator's periodic slice —
+// sweeping its soft state, funneling similarity information one hop toward
+// middle nodes, pushing aggregated responses, inner-product values,
+// subscription matches, sketch reports and frequency tables, and
+// refreshing standing registrations — and last release the client-side
+// dedup sets of queries expired for a push period.
 func (dc *DataCenter) periodTick() {
 	if !dc.alive() {
 		dc.ticker.Stop()
@@ -629,6 +636,7 @@ func (dc *DataCenter) periodTick() {
 	now := dc.mw.clk.Now()
 	dc.store.Sweep(now)
 	dc.engine.Tick(dc, now)
+	dc.mw.retireResults(now)
 }
 
 // flushNotifies sends at most one KindNotify per ring direction, carrying

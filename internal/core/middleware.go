@@ -29,24 +29,29 @@ type Middleware struct {
 
 	nextQueryID query.ID
 
-	// Client-side result tracking.
-	simMatches  map[query.ID][]query.Match
-	simSeen     map[query.ID]map[string]map[uint64]bool
+	// Client-side result tracking. simResults and subResults hold one
+	// table per similarity query / subscription posted here; open lists
+	// the tables that still deduplicate, for retireResults.
+	simResults  map[query.ID]*resultTable
 	simResponse map[query.ID]int
 	ipValues    map[query.ID][]query.IPValue
 	ipFailed    map[query.ID]bool
+	subResults  map[query.ID]*resultTable
+	open        []*resultTable
+	nextRetire  sim.Time
+	late        int64
 
-	// Continuous-query-engine client state: subscription detections
-	// (deduplicated like similarity results), aggregate sketch folds, and
+	// Continuous-query-engine client state: aggregate sketch folds and
 	// top-k report tables.
-	subMatches map[query.ID][]query.Match
-	subSeen    map[query.ID]map[string]map[uint64]bool
 	aggFolds   map[query.ID]*cqe.SketchFold
 	topkTables map[query.ID]*cqe.TopKTable
 	topkK      map[query.ID]int
 
 	// OnSimilarity, when non-nil, is invoked at each response delivery
-	// with the newly reported matches (possibly none).
+	// with the newly reported matches (possibly none). The slice is
+	// read-only and stays valid: the middleware keeps it as part of the
+	// query's result table and never writes to it or reuses it, so the
+	// callback may retain it.
 	OnSimilarity func(id query.ID, matches []query.Match)
 	// OnInnerProduct, when non-nil, is invoked at each periodic value
 	// push.
@@ -75,13 +80,11 @@ func New(net dht.Substrate, cfg Config) (*Middleware, error) {
 		col:         metrics.NewCollector(classifier{}),
 		rng:         sim.NewRand(cfg.Seed).Fork("middleware"),
 		dcs:         make(map[dht.Key]*DataCenter),
-		simMatches:  make(map[query.ID][]query.Match),
-		simSeen:     make(map[query.ID]map[string]map[uint64]bool),
+		simResults:  make(map[query.ID]*resultTable),
 		simResponse: make(map[query.ID]int),
 		ipValues:    make(map[query.ID][]query.IPValue),
 		ipFailed:    make(map[query.ID]bool),
-		subMatches:  make(map[query.ID][]query.Match),
-		subSeen:     make(map[query.ID]map[string]map[uint64]bool),
+		subResults:  make(map[query.ID]*resultTable),
 		aggFolds:    make(map[query.ID]*cqe.SketchFold),
 		topkTables:  make(map[query.ID]*cqe.TopKTable),
 		topkK:       make(map[query.ID]int),
@@ -183,6 +186,7 @@ func (mw *Middleware) PostSimilarity(origin dht.Key, f summary.Feature, radius f
 		return 0, err
 	}
 	mw.col.CountEvent(metrics.EventQuery)
+	mw.simResults[q.ID] = mw.openResults(q.Expiry())
 	lo, hi := mw.mapper.QueryRange(f.Routing(), radius)
 	middle := mw.cfg.Space.Midpoint(lo, hi)
 	msg := sized(&dht.Message{Kind: KindQuery, Payload: SimQuery{Q: q, MiddleKey: middle}})
@@ -250,28 +254,124 @@ func (mw *Middleware) newQueryID() query.ID {
 	return mw.nextQueryID
 }
 
-// deliverSimilarity records a response arriving at the client node.
-func (mw *Middleware) deliverSimilarity(at dht.Key, p ResponseMsg) {
-	mw.simResponse[p.QueryID]++
-	var fresh []query.Match
-	seen := mw.simSeen[p.QueryID]
-	if seen == nil {
-		seen = make(map[string]map[uint64]bool)
-		mw.simSeen[p.QueryID] = seen
+// resultTable is the client-side record of one continuous query's
+// detections: similarity responses or subscription matches.
+type resultTable struct {
+	// chunks are the never-before-reported matches of each delivery, in
+	// arrival order. A chunk is written once, when it is built, and only
+	// read afterwards — by the OnSimilarity callback it is handed to and
+	// by the accessors that concatenate on demand.
+	chunks [][]query.Match
+	// seen deduplicates per (stream, seq): several nodes may report the
+	// same MBR. It is released one push period after the query's expiry
+	// (retireAt); a delivery arriving later still is counted late.
+	seen     map[string]map[uint64]bool
+	retireAt sim.Time
+}
+
+// openResults starts the result table of a query expiring at expiry.
+func (mw *Middleware) openResults(expiry sim.Time) *resultTable {
+	r := &resultTable{seen: make(map[string]map[uint64]bool), retireAt: expiry + mw.cfg.PushPeriod}
+	mw.open = append(mw.open, r)
+	return r
+}
+
+// retireResults releases the dedup set of every query that has been
+// expired for a push period. Each data center's periodTick calls it; it
+// scans the open tables at most once per push period.
+func (mw *Middleware) retireResults(now sim.Time) {
+	if now < mw.nextRetire {
+		return
 	}
-	for _, m := range p.Matches {
-		seqs := seen[m.StreamID]
+	mw.nextRetire = now + mw.cfg.PushPeriod
+	open := mw.open[:0]
+	for _, r := range mw.open {
+		if now >= r.retireAt {
+			r.seen = nil
+		} else {
+			open = append(open, r)
+		}
+	}
+	clear(mw.open[len(open):])
+	mw.open = open
+}
+
+// absorb records the matches not reported before as one chunk and returns
+// it (nil when there are none). On a table that is unknown (nil) or already
+// retired the delivery is counted late and dropped.
+func (mw *Middleware) absorb(r *resultTable, matches []query.Match) []query.Match {
+	if r == nil || r.seen == nil {
+		mw.late++
+		return nil
+	}
+	var fresh []query.Match
+	for _, m := range matches {
+		seqs := r.seen[m.StreamID]
 		if seqs == nil {
 			seqs = make(map[uint64]bool)
-			seen[m.StreamID] = seqs
+			r.seen[m.StreamID] = seqs
 		}
 		if seqs[m.Seq] {
 			continue
 		}
 		seqs[m.Seq] = true
+		if fresh == nil {
+			fresh = make([]query.Match, 0, len(matches))
+		}
 		fresh = append(fresh, m)
 	}
-	mw.simMatches[p.QueryID] = append(mw.simMatches[p.QueryID], fresh...)
+	if fresh != nil {
+		r.chunks = append(r.chunks, fresh)
+	}
+	return fresh
+}
+
+// matches returns a copy of every match recorded so far.
+func (r *resultTable) matches() []query.Match {
+	if r == nil {
+		return nil
+	}
+	n := 0
+	for _, c := range r.chunks {
+		n += len(c)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]query.Match, 0, n)
+	for _, c := range r.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// streams returns the distinct stream ids recorded, in first-report order.
+func (r *resultTable) streams() []string {
+	if r == nil {
+		return nil
+	}
+	seen := make(map[string]bool)
+	var out []string
+	for _, c := range r.chunks {
+		for _, m := range c {
+			if !seen[m.StreamID] {
+				seen[m.StreamID] = true
+				out = append(out, m.StreamID)
+			}
+		}
+	}
+	return out
+}
+
+// LateDeliveries returns how many similarity responses and subscription
+// match pushes arrived for a query unknown here or expired for over a push
+// period, and were dropped.
+func (mw *Middleware) LateDeliveries() int64 { return mw.late }
+
+// deliverSimilarity records a response arriving at the client node.
+func (mw *Middleware) deliverSimilarity(at dht.Key, p ResponseMsg) {
+	mw.simResponse[p.QueryID]++
+	fresh := mw.absorb(mw.simResults[p.QueryID], p.Matches)
 	if mw.OnSimilarity != nil {
 		mw.OnSimilarity(p.QueryID, fresh)
 	}
@@ -297,20 +397,12 @@ func (mw *Middleware) failIP(qs []*query.InnerProduct) {
 // SimilarityMatches returns the deduplicated matches reported to the
 // client so far.
 func (mw *Middleware) SimilarityMatches(id query.ID) []query.Match {
-	return append([]query.Match(nil), mw.simMatches[id]...)
+	return mw.simResults[id].matches()
 }
 
 // MatchedStreams returns the distinct stream ids reported for the query.
 func (mw *Middleware) MatchedStreams(id query.ID) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, m := range mw.simMatches[id] {
-		if !seen[m.StreamID] {
-			seen[m.StreamID] = true
-			out = append(out, m.StreamID)
-		}
-	}
-	return out
+	return mw.simResults[id].streams()
 }
 
 // ResponseCount returns how many periodic responses (including empty ones)

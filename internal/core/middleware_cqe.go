@@ -39,6 +39,7 @@ func (mw *Middleware) PostSubscription(origin dht.Key, lo, hi summary.Feature, l
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
+	mw.subResults[p.ID] = mw.openResults(p.Expiry())
 	dc.opSub.register(dc, p)
 	return p.ID, nil
 }
@@ -58,20 +59,13 @@ func (mw *Middleware) CancelSubscription(origin dht.Key, id query.ID) error {
 // SubscriptionMatches returns the deduplicated detections pushed to the
 // subscriber so far.
 func (mw *Middleware) SubscriptionMatches(id query.ID) []query.Match {
-	return append([]query.Match(nil), mw.subMatches[id]...)
+	return mw.subResults[id].matches()
 }
 
 // SubscribedStreams returns the distinct stream ids detected for the
 // subscription, sorted.
 func (mw *Middleware) SubscribedStreams(id query.ID) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, m := range mw.subMatches[id] {
-		if !seen[m.StreamID] {
-			seen[m.StreamID] = true
-			out = append(out, m.StreamID)
-		}
-	}
+	out := mw.subResults[id].streams()
 	sort.Strings(out)
 	return out
 }
@@ -80,23 +74,7 @@ func (mw *Middleware) SubscribedStreams(id query.ID) []string {
 // state, deduplicating per (stream, seq) — range replication makes
 // several nodes detect the same MBR.
 func (mw *Middleware) deliverSubMatch(p SubMatchMsg) {
-	seen := mw.subSeen[p.SubID]
-	if seen == nil {
-		seen = make(map[string]map[uint64]bool)
-		mw.subSeen[p.SubID] = seen
-	}
-	for _, m := range p.Matches {
-		seqs := seen[m.StreamID]
-		if seqs == nil {
-			seqs = make(map[uint64]bool)
-			seen[m.StreamID] = seqs
-		}
-		if seqs[m.Seq] {
-			continue
-		}
-		seqs[m.Seq] = true
-		mw.subMatches[p.SubID] = append(mw.subMatches[p.SubID], m)
-	}
+	mw.absorb(mw.subResults[p.SubID], p.Matches)
 }
 
 // PostAggregate poses a continuous windowed-aggregate query over the

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"streamdex/internal/chord"
 	"streamdex/internal/dht"
 	"streamdex/internal/metrics"
+	"streamdex/internal/query"
 	"streamdex/internal/sim"
 	"streamdex/internal/stream"
 	"streamdex/internal/summary"
@@ -522,5 +524,88 @@ func TestDuplicateStreamRejected(t *testing.T) {
 	}
 	if err := dc.RegisterStream(st); err == nil {
 		t.Fatal("duplicate stream accepted")
+	}
+}
+
+// TestResultTablesChunkedAndRetired pins the gateway result tables: every
+// delivery's never-before-reported matches become one chunk that is handed
+// to OnSimilarity and kept as is (never copied, written to or reused);
+// SimilarityMatches / MatchedStreams concatenate the chunks on demand; the
+// dedup set is released one push period after the query's expiry, and a
+// delivery arriving later still — or for a query never posted here — is
+// counted late instead of re-creating it. Subscriptions go the same way.
+func TestResultTablesChunkedAndRetired(t *testing.T) {
+	cfg := testConfig()
+	eng, _, mw, ids := testCluster(t, 4, cfg, false)
+	var handed [][]query.Match
+	mw.OnSimilarity = func(_ query.ID, fresh []query.Match) { handed = append(handed, fresh) }
+
+	qid, err := mw.PostSimilarity(ids[0], summary.Feature{0, 0, 0}, 0.01, 3*sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := func(sid string, seq uint64) query.Match { return query.Match{StreamID: sid, Seq: seq} }
+	first := []query.Match{m("a", 1), m("a", 2), m("b", 1)}
+	mw.deliverSimilarity(ids[0], ResponseMsg{QueryID: qid, Matches: first})
+	mw.deliverSimilarity(ids[0], ResponseMsg{QueryID: qid, Matches: []query.Match{m("a", 2), m("c", 7)}})
+	mw.deliverSimilarity(ids[0], ResponseMsg{QueryID: qid, Matches: []query.Match{m("a", 1)}})
+	if len(handed) != 3 || len(handed[0]) != 3 || len(handed[1]) != 1 || handed[1][0] != m("c", 7) || handed[2] != nil {
+		t.Fatalf("OnSimilarity was handed %v, want the fresh matches of each delivery", handed)
+	}
+	first[0] = m("overwritten", 0) // the payload slice is the caller's
+	want := []query.Match{m("a", 1), m("a", 2), m("b", 1), m("c", 7)}
+	if got := mw.SimilarityMatches(qid); !slices.Equal(got, want) {
+		t.Fatalf("SimilarityMatches = %v, want %v", got, want)
+	}
+	if got := mw.MatchedStreams(qid); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("MatchedStreams = %v", got)
+	}
+	// The chunks the callback received are the table's own: same backing
+	// arrays, still intact after later deliveries.
+	if r := mw.simResults[qid]; len(r.chunks) != 2 || &r.chunks[0][0] != &handed[0][0] || &r.chunks[1][0] != &handed[1][0] {
+		t.Fatal("result table copied the chunks it handed to OnSimilarity")
+	}
+	if !slices.Equal(handed[0], want[:3]) {
+		t.Fatalf("a chunk handed to OnSimilarity changed afterwards: %v", handed[0])
+	}
+
+	sid, err := mw.PostSubscription(ids[0], summary.Feature{-1, -1, -1}, summary.Feature{1, 1, 1}, 3*sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mw.deliverSubMatch(SubMatchMsg{SubID: sid, Matches: []query.Match{m("zz", 1), m("zz", 1), m("zy", 1)}})
+	if got := mw.SubscribedStreams(sid); !slices.Equal(got, []string{"zy", "zz"}) {
+		t.Fatalf("SubscribedStreams = %v", got)
+	}
+
+	// Up to one push period past expiry the tables still deduplicate...
+	eng.RunFor(3*sim.Second + cfg.PushPeriod/2)
+	if mw.simResults[qid].seen == nil || mw.subResults[sid].seen == nil {
+		t.Fatal("dedup set released before the query had been expired for a push period")
+	}
+	late := mw.LateDeliveries()
+	mw.deliverSimilarity(ids[0], ResponseMsg{QueryID: qid, Matches: []query.Match{m("a", 1), m("d", 1)}})
+	if got := len(mw.SimilarityMatches(qid)); got != 5 || mw.LateDeliveries() != late {
+		t.Fatalf("a response half a period after expiry: %d matches, %d late", got, mw.LateDeliveries()-late)
+	}
+	// ...after that they are released, and stragglers are counted late.
+	eng.RunFor(2 * cfg.PushPeriod)
+	if mw.simResults[qid].seen != nil || mw.subResults[sid].seen != nil || len(mw.open) != 0 {
+		t.Fatalf("dedup sets not released two periods past expiry (%d tables open)", len(mw.open))
+	}
+	mw.deliverSimilarity(ids[0], ResponseMsg{QueryID: qid, Matches: []query.Match{m("e", 1)}})
+	mw.deliverSimilarity(ids[0], ResponseMsg{QueryID: qid + 1000, Matches: []query.Match{m("e", 1)}})
+	mw.deliverSubMatch(SubMatchMsg{SubID: sid, Matches: []query.Match{m("e", 1)}})
+	if got := mw.LateDeliveries() - late; got != 3 {
+		t.Fatalf("%d deliveries counted late, want 3", got)
+	}
+	if got := len(mw.SimilarityMatches(qid)); got != 5 {
+		t.Fatalf("a late response changed the results: %d matches", got)
+	}
+	if got := mw.SimilarityMatches(qid + 1000); got != nil {
+		t.Fatalf("a response for a query never posted here created results: %v", got)
+	}
+	if handed[len(handed)-1] != nil {
+		t.Fatalf("OnSimilarity was handed the matches of a late response: %v", handed[len(handed)-1])
 	}
 }

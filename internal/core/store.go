@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,53 +21,57 @@ import (
 //
 // The store is sharded by an L₁ band partition so the live node's data
 // plane can run it from many goroutines at once: entry shard =
-// floor(L₁/bandWidth) mod S. Within a shard the index is published as an
-// immutable snapshot behind an atomic pointer — the same trick the Chord
-// protocol machine uses for its routing View — so candidate walks are
-// lock-free: a reader loads the current snapshot pointer (acquire), walks
-// it, and never blocks a writer or another reader. Writers (Put, Sweep,
-// band compaction) serialize on a per-shard mutation mutex, build the next
-// snapshot copy-on-write, bump its epoch, and publish it with an atomic
-// store (release).
-//
-// A snapshot is laid out structure-of-arrays: flat []float64 slices carry
-// the first-coefficient bounds (lo1/hi1), an []sim.Time slice the expiries,
-// and — when every entry shares one dimensionality — a flattened corner
-// array, with a parallel []*summary.MBR id slice consulted only when an
-// entry actually matches. A similarity query (Q, r) can only match MBRs
+// floor(L₁/bandWidth) mod S. A similarity query (Q, r) can only match MBRs
 // whose first-coefficient interval [L₁, H₁] overlaps [q₁−r, q₁+r] — the
-// same Fourier-locality fact Eq. 6 routes on — so the walk binary-searches
-// the sorted base for the overlapping band and scans it branch-light over
-// the flat arrays, touching no per-entry pointers until a match is found.
+// same Fourier-locality fact Eq. 6 routes on — so the index keeps entries
+// in runs sorted by L₁, laid out structure-of-arrays: flat []float64 slices
+// carry the first-coefficient bounds (lo1/hi1), an []sim.Time slice the
+// expiries, and — when every entry shares one dimensionality — a flattened
+// corner array, with a parallel []*summary.MBR id slice consulted only when
+// an entry actually matches. A walk binary-searches a run for the
+// overlapping band and scans it branch-light over the flat arrays.
 //
-// To keep Put cheap, a snapshot is a sorted base plus a small unsorted
-// tail of at most tailMax recent inserts. Put appends to the tail —
-// in place when the shared backing arrays have room (older snapshots only
-// ever see their shorter prefix), copy-on-write otherwise — and merges the
-// tail into the base when it fills, so the O(n) re-sort cost is paid once
-// per tailMax inserts instead of on every one.
+// A live shard (NewShardedStore) is generational. Because every MBR carries
+// the same lifespan, entries leave a node in almost the order they arrived,
+// so a shard is a short list of generations ordered by arrival: a handful
+// of sealed ones, each an immutable sorted run with its own width bound,
+// and one active generation that Put appends to in place — the slot is
+// written past the published length and then published by an atomic store
+// of that length; when a chunk of slots fills, a fresh chunk is linked
+// behind it, nothing is copied. Once the active generation holds
+// 1/storeGenerations of what the sealed ones hold — at a steady rate, what
+// arrived in that fraction of the lifespan — the Put that filled it seals
+// it: its entries are sorted once into a run. Sweep drops a sealed
+// generation whole, by unlinking it, once its newest expiry has passed.
+// Nothing else ever moves an entry: there is no per-put snapshot, no merge
+// and no compaction, and an expired entry that lingers in a generation not
+// yet dropped (at most about one generation's worth per shard) is skipped
+// by the per-entry expiry test every walk applies.
+//
+// Readers are lock-free: a walk loads the shard's current view — the list
+// of sealed runs plus the head of the active chunk chain — with one atomic
+// pointer read, binary-searches each sealed run, scans the active chunks
+// flat up to their published lengths, and never blocks a writer or another
+// reader. Writers (Put, Sweep) serialize on a per-shard mutex. A view, a
+// sealed run and the published prefix of a chunk are never mutated, so a
+// reader holding a stale view keeps seeing exactly the state it loaded.
 //
 // The simulator's store (NewStore) instead runs in exclusive mode: its
-// event loop is single-threaded, so immutability buys nothing and
-// copy-on-write would charge every virtual-time figure run real
-// allocation churn. An exclusive store mutates its snapshot in place —
-// the historical sorted insert-after-equals memmove over the same SoA
-// arrays — which keeps the walk order (and golden figure rows) bitwise
-// identical to the historical store at the historical cost.
+// event loop is single-threaded, so immutability buys nothing and sealing
+// would change the walk order. An exclusive store keeps one sorted run and
+// mutates it in place — the historical sorted insert-after-equals memmove
+// over the same SoA arrays — which keeps the walk order (and golden figure
+// rows) bitwise identical to the historical store at the historical cost.
 //
-// Concurrency contract: on stores from NewShardedStore, Put and
-// AppendCandidates may be called from any goroutine. Steady-state walks
-// acquire no locks and perform no allocations (beyond growing the
-// caller's destination slice); only when a walk observes expired entries
-// does it take the shard's writer mutex afterwards to compact them out,
-// mirroring the historical lazy-expiry behavior. Stores from NewStore
-// are confined to one goroutine at a time by contract.
+// Concurrency contract: on stores from NewShardedStore, Put, Sweep and the
+// walks may be called from any goroutine; walks acquire no locks and
+// perform no allocations (beyond growing the caller's destination slice).
+// Stores from NewStore are confined to one goroutine at a time by contract.
 type Store struct {
 	shards    []storeShard
 	bandWidth float64
-	tailMax   int
 	// exclusive marks a single-goroutine store (NewStore): Put mutates the
-	// snapshot in place instead of copy-on-write publishing.
+	// one sorted run in place instead of appending to a generation.
 	exclusive bool
 
 	// Cumulative data-plane counters (atomic; surfaced via the node's
@@ -73,51 +79,81 @@ type Store struct {
 	puts    atomic.Int64
 	scanned atomic.Int64 // entries visited by candidate walks
 
-	// Snapshot-protocol counters (SnapStats).
-	epochs    atomic.Int64 // snapshot publications across all shards
-	cowCopied atomic.Int64 // entries copied while building new snapshots
-	merges    atomic.Int64 // tail-into-base merges
+	// Publication counters (SnapStats).
+	epochs    atomic.Int64 // publications across all shards
+	cowCopied atomic.Int64 // entries moved by seals
+	merges    atomic.Int64 // seals
 }
 
-// storeShard is one independently mutated L₁ band of the store. snap is
-// the current immutable snapshot; mu serializes writers only.
+// storeShard is one independently mutated L₁ band of the store. view is
+// what readers load; mu serializes writers only.
 type storeShard struct {
 	mu   sync.Mutex
-	snap atomic.Pointer[shardSnap]
+	view atomic.Pointer[shardView]
+
+	// Writer state (live stores), guarded by mu.
+	tail   *genChunk // chunk the next Put appends to
+	n      int       // entries in the active generation
+	finite int       // those of them that expire
+	newest sim.Time  // newest expiry among them; 0 while finite is 0
+	sealed int       // entries in the sealed generations
 }
 
-// shardSnap is one immutable published snapshot of a shard. All slices are
-// frozen at publication: readers walk them without synchronization. The
-// tail backing arrays are append-shared across consecutive snapshots — a
-// writer may extend them past this snapshot's length, never within it.
+// shardView is one published state of a shard: immutable, replaced whole
+// when a generation is sealed or dropped.
+type shardView struct {
+	// runs are the sealed generations, oldest first. An exclusive store
+	// holds exactly one, which it mutates in place.
+	runs []*shardSnap
+	// active is the first chunk of the active generation; nil on exclusive
+	// stores.
+	active *genChunk
+	epoch  uint64 // bumped on every publication of this shard's view
+}
+
+// shardSnap is one run of entries sorted ascending by lo1: a sealed
+// generation of a live shard, frozen when it was built and walked without
+// synchronization, or the single in-place index of an exclusive store.
 type shardSnap struct {
-	// Sorted base, ascending by lo1 (ties in insertion order).
 	lo1, hi1 []float64
 	exp      []sim.Time
 	crd      []float64 // flattened corners [lo…, hi…] per entry; nil if dims mixed
 	refs     []*summary.MBR
 
-	// Unsorted tail of recent inserts, bounded by Store.tailMax.
-	tLo1, tHi1 []float64
-	tExp       []sim.Time
-	tCrd       []float64
-	tRefs      []*summary.MBR
-
-	dims     int     // uniform dimensionality; 0 = mixed, -1 = empty
-	maxWidth float64 // upper bound on Hi[0]-Lo[0]; tightened on Sweep
-	epoch    uint64  // bumped on every publication of this shard
+	dims     int      // uniform dimensionality; 0 = mixed, -1 = empty
+	maxWidth float64  // upper bound on Hi[0]-Lo[0] within this run
+	newest   sim.Time // sealed generation: its newest expiry; dropped once passed
+	epoch    uint64   // exclusive store: bumped on every in-place mutation
 }
 
-// SnapStats reports the snapshot protocol's cumulative activity.
+// genSlot is one entry of the active generation. The first-coefficient
+// interval and the expiry sit inline so the flat scan touches the MBR only
+// when the interval overlaps the query's.
+type genSlot struct {
+	lo1, hi1 float64
+	exp      sim.Time
+	ref      *summary.MBR
+}
+
+// genChunk is one fixed-capacity piece of the active generation's
+// append-only log. slots[:n] is published and immutable; the writer fills
+// slots[n] and then stores n+1, so a reader that loads n sees every slot
+// below it. A full chunk gets a successor linked through next.
+type genChunk struct {
+	slots []genSlot
+	n     atomic.Int32
+	next  atomic.Pointer[genChunk]
+}
+
+// SnapStats reports the store's cumulative publication activity.
 type SnapStats struct {
-	// Epochs counts snapshot publications summed over all shards — every
-	// Put, Sweep and expiry compaction bumps it by one per shard touched.
+	// Epochs counts publications summed over all shards: every Put, every
+	// seal, and every Sweep that dropped a generation.
 	Epochs int64
-	// CowCopied counts entries copied while building new snapshots
-	// (tail copy-on-write, merges, sweeps, compactions). The ratio to
-	// Epochs exposes how well the append-in-place fast path is working.
+	// CowCopied counts entries moved when a generation was sealed. Each
+	// entry is sealed at most once, so the ratio to puts stays near one.
 	CowCopied int64
-	// Merges counts tail-into-base merge publications.
+	// Merges counts sealed generations.
 	Merges int64
 }
 
@@ -127,51 +163,68 @@ type SnapStats struct {
 // radius-sized query band inside a handful of them.
 const defaultBandWidth = 0.25
 
-// storeTailMax bounds the unsorted tail of a live shard snapshot. The
-// trade is tail-scan work on reads against merge (and its allocation/GC)
-// work on writes: a walk skips an out-of-band tail entry on two flat
-// float64 compares, so even a full tail costs well under a microsecond,
-// while every doubling of the tail halves the copy-on-write merge volume.
-// 256 keeps the scan trivial and the write amplification ~n/256.
-const storeTailMax = 256
+// storeGenerations is G: a live shard seals its active generation once it
+// holds 1/G of what the shard's sealed generations hold. At a steady
+// arrival rate the sealed generations are what arrived over one lifespan,
+// so a generation spans 1/G of the lifespan, a shard holds about G sealed
+// generations, and at most about 1/G of it lingers expired or is scanned
+// flat. A walk pays one binary search per generation.
+const storeGenerations = 8
 
-// emptySnap is the shared initial snapshot of every shard.
-var emptySnap = &shardSnap{dims: -1}
+// Active-generation chunks hold between minChunk and maxChunk slots. A new
+// chunk is sized to what the generation (or its predecessor) already holds,
+// so a steady generation fits in one or two. minChunk is also the smallest
+// generation worth sealing.
+const (
+	minChunk = 64
+	maxChunk = 4096
+)
+
+func newChunk(held int) *genChunk {
+	return &genChunk{slots: make([]genSlot, min(max(held, minChunk), maxChunk))}
+}
+
+// append publishes sl behind the chunk's last slot and returns the chunk
+// the next append goes to. held is the generation's length so far. Only
+// the shard's writer calls it.
+func (c *genChunk) append(sl genSlot, held int) *genChunk {
+	n := c.n.Load()
+	if int(n) == len(c.slots) {
+		next := newChunk(held)
+		next.slots[0] = sl
+		next.n.Store(1)
+		c.next.Store(next)
+		return next
+	}
+	c.slots[n] = sl
+	c.n.Store(n + 1)
+	return c
+}
 
 // NewStore returns an empty single-shard store — the simulator's
 // configuration, behaviorally identical to the historical unsharded store:
-// exclusive mode inserts in place with no insert tail, so the walk order
+// exclusive mode inserts in place into one sorted run, so the walk order
 // is exactly the historical sorted insertion order. The caller must
 // confine the store to one goroutine at a time; concurrent data planes
 // use NewShardedStore.
 func NewStore() *Store {
-	s := newStore(1)
-	s.tailMax = 0
-	s.exclusive = true
-	// An exclusive store mutates its snapshot, so it must not share the
-	// global emptySnap.
-	s.shards[0].snap.Store(&shardSnap{dims: -1})
+	s := &Store{shards: make([]storeShard, 1), bandWidth: defaultBandWidth, exclusive: true}
+	s.shards[0].view.Store(&shardView{runs: []*shardSnap{{dims: -1}}})
 	return s
 }
 
 // NewShardedStore returns an empty store with the given number of L₁-band
 // shards (values < 1 are treated as 1), configured for the live data
-// plane: snapshots carry an unsorted insert tail so Put stays cheap.
+// plane: each shard is a list of generations.
 func NewShardedStore(shards int) *Store {
-	return newStore(shards)
-}
-
-func newStore(shards int) *Store {
 	if shards < 1 {
 		shards = 1
 	}
-	s := &Store{
-		shards:    make([]storeShard, shards),
-		bandWidth: defaultBandWidth,
-		tailMax:   storeTailMax,
-	}
+	s := &Store{shards: make([]storeShard, shards), bandWidth: defaultBandWidth}
 	for i := range s.shards {
-		s.shards[i].snap.Store(emptySnap)
+		sh := &s.shards[i]
+		sh.tail = newChunk(0)
+		sh.view.Store(&shardView{active: sh.tail})
 	}
 	return s
 }
@@ -192,13 +245,32 @@ func (s *Store) shardOf(l1 float64) int {
 	return idx
 }
 
-// Len returns the number of MBRs held (lazily dropped expired entries may
-// linger until a Candidates walk or Sweep touches them). Lock-free.
+// Len returns the number of MBRs held, including expired entries of
+// generations not yet dropped. Lock-free.
 func (s *Store) Len() int {
 	n := 0
 	for i := range s.shards {
-		p := s.shards[i].snap.Load()
-		n += len(p.lo1) + len(p.tLo1)
+		v := s.shards[i].view.Load()
+		for _, p := range v.runs {
+			n += len(p.lo1)
+		}
+		for c := v.active; c != nil; c = c.next.Load() {
+			n += int(c.n.Load())
+		}
+	}
+	return n
+}
+
+// Generations returns how many non-empty generations the shards hold
+// between them (stats).
+func (s *Store) Generations() int {
+	n := 0
+	for i := range s.shards {
+		v := s.shards[i].view.Load()
+		n += len(v.runs)
+		if v.active != nil && v.active.n.Load() > 0 {
+			n++
+		}
 	}
 	return n
 }
@@ -210,7 +282,7 @@ func (s *Store) Stats() (puts, scanned int64) {
 	return s.puts.Load(), s.scanned.Load()
 }
 
-// SnapStats reports the snapshot protocol's cumulative counters.
+// SnapStats reports the store's cumulative publication counters.
 func (s *Store) SnapStats() SnapStats {
 	return SnapStats{
 		Epochs:    s.epochs.Load(),
@@ -219,12 +291,7 @@ func (s *Store) SnapStats() SnapStats {
 	}
 }
 
-// ShardEpoch returns shard i's current snapshot epoch (tests, stats).
-func (s *Store) ShardEpoch(i int) uint64 {
-	return s.shards[i].snap.Load().epoch
-}
-
-// foldDims combines a snapshot dims state with one entry's dimensionality.
+// foldDims combines a run's dims state with one entry's dimensionality.
 func foldDims(dims, k int) int {
 	switch {
 	case dims == -1:
@@ -242,178 +309,32 @@ func appendCorners(dst []float64, b *summary.MBR) []float64 {
 	return append(dst, b.Hi...)
 }
 
-// Put inserts an MBR into its L₁-band shard and publishes the new
-// snapshot before returning, so a candidate walk that starts after Put
-// returns is guaranteed to see the entry (the ordering fence the
+// Put inserts an MBR into its L₁-band shard and publishes it before
+// returning, so a candidate walk that starts after Put returns is
+// guaranteed to see the entry (the ordering fence the
 // handleQuery/publishMBR protocol relies on).
 func (s *Store) Put(b *summary.MBR) {
-	l1 := b.Lo[0]
-	sh := &s.shards[s.shardOf(l1)]
+	sh := &s.shards[s.shardOf(b.Lo[0])]
 	sh.mu.Lock()
-	cur := sh.snap.Load()
-	dims := foldDims(cur.dims, len(b.Lo))
-	switch {
-	case s.exclusive:
-		s.insertInPlace(cur, b, dims)
-	case len(cur.tLo1) < s.tailMax && !(dims == 0 && cur.dims > 0):
-		sh.snap.Store(s.tailAppend(cur, b, dims))
-	default:
-		sh.snap.Store(s.mergePut(cur, b, dims))
+	if s.exclusive {
+		cur := sh.view.Load().runs[0]
+		s.insertInPlace(cur, b, foldDims(cur.dims, len(b.Lo)))
+	} else {
+		sh.tail = sh.tail.append(genSlot{lo1: b.Lo[0], hi1: b.Hi[0], exp: b.Expiry, ref: b}, sh.n)
+		sh.n++
+		if b.Expiry != 0 {
+			sh.finite++
+			sh.newest = max(sh.newest, b.Expiry)
+		}
+		s.epochs.Add(1)
+		if sh.finite >= max(minChunk, sh.sealed/storeGenerations) {
+			// Put has no clock: at time 0 nothing is expired, so this
+			// drops and filters nothing.
+			s.republish(sh, 0, true)
+		}
 	}
 	sh.mu.Unlock()
 	s.puts.Add(1)
-}
-
-// tailAppend publishes cur plus b appended to the insert tail. When the
-// shared tail backing arrays have spare capacity the new entry is written
-// in place past every published snapshot's length — older snapshots only
-// ever read their own shorter prefix — otherwise the tail is copied into
-// fresh arrays sized for tailMax entries.
-func (s *Store) tailAppend(cur *shardSnap, b *summary.MBR, dims int) *shardSnap {
-	next := &shardSnap{
-		lo1: cur.lo1, hi1: cur.hi1, exp: cur.exp, crd: cur.crd, refs: cur.refs,
-		dims:     dims,
-		maxWidth: cur.maxWidth,
-		epoch:    cur.epoch + 1,
-	}
-	if w := b.Hi[0] - b.Lo[0]; w > next.maxWidth {
-		next.maxWidth = w
-	}
-	n := len(cur.tLo1)
-	flat := dims > 0 && (n == 0 || cur.tCrd != nil)
-	inPlace := n < cap(cur.tLo1)
-	if inPlace && flat && (n+1)*2*dims > cap(cur.tCrd) {
-		inPlace = false
-	}
-	if inPlace {
-		// In-place append on the shared backing: the write lands past
-		// every published snapshot's length, so no reader can see it
-		// until this snapshot is published.
-		next.tLo1 = append(cur.tLo1, b.Lo[0])
-		next.tHi1 = append(cur.tHi1, b.Hi[0])
-		next.tExp = append(cur.tExp, b.Expiry)
-		next.tRefs = append(cur.tRefs, b)
-		if flat {
-			next.tCrd = appendCorners(cur.tCrd, b)
-		}
-		s.epochs.Add(1)
-		return next
-	}
-	// Copy-on-write into fresh backing with room for a full tail.
-	next.tLo1 = append(make([]float64, 0, s.tailMax), cur.tLo1...)
-	next.tHi1 = append(make([]float64, 0, s.tailMax), cur.tHi1...)
-	next.tExp = append(make([]sim.Time, 0, s.tailMax), cur.tExp...)
-	next.tRefs = append(make([]*summary.MBR, 0, s.tailMax), cur.tRefs...)
-	next.tLo1 = append(next.tLo1, b.Lo[0])
-	next.tHi1 = append(next.tHi1, b.Hi[0])
-	next.tExp = append(next.tExp, b.Expiry)
-	next.tRefs = append(next.tRefs, b)
-	if flat {
-		next.tCrd = appendCorners(append(make([]float64, 0, s.tailMax*2*dims), cur.tCrd...), b)
-	}
-	s.cowCopied.Add(int64(n))
-	s.epochs.Add(1)
-	return next
-}
-
-// mergePut merges cur's base, tail and the new entry b into one sorted
-// base, reproducing the historical insertion order: ascending lo1, with an
-// insert landing after every existing entry of equal lo1. The base is
-// already sorted, so only the bounded tail is sorted (stably, preserving
-// insertion order on equal keys) before a linear two-run merge — the
-// amortized cost per put is O(n/tailMax) bulk copies, not a re-sort.
-func (s *Store) mergePut(cur *shardSnap, b *summary.MBR, dims int) *shardSnap {
-	var next *shardSnap
-	if dims > 0 && (len(cur.refs) == 0 || cur.crd != nil) && (len(cur.tRefs) == 0 || cur.tCrd != nil) {
-		// Uniform dims with flat corners everywhere: merge the SoA arrays
-		// directly, bulk-copying base segments between tail insertions.
-		next = s.mergeFlat(cur, b, dims)
-	} else {
-		// Mixed dims: rebuild through the entry pointers.
-		tail := make([]*summary.MBR, 0, len(cur.tRefs)+1)
-		tail = append(tail, cur.tRefs...)
-		tail = append(tail, b)
-		sort.SliceStable(tail, func(i, j int) bool { return tail[i].Lo[0] < tail[j].Lo[0] })
-		next = buildSnap(mergeRuns(cur.refs, tail), dims, s.tailMax)
-	}
-	next.maxWidth = cur.maxWidth
-	if w := b.Hi[0] - b.Lo[0]; w > next.maxWidth {
-		next.maxWidth = w
-	}
-	next.epoch = cur.epoch + 1
-	s.cowCopied.Add(int64(len(next.refs)))
-	s.merges.Add(1)
-	s.epochs.Add(1)
-	return next
-}
-
-// mergeFlat merges the bounded tail plus b into the sorted base by
-// copying whole SoA segments: the base splits into at most tail+1 runs at
-// the insertion points, and every copy is a bulk memmove of flat arrays —
-// no per-entry pointer chasing. All entries share dims k and carry flat
-// corners. Order on equal lo1 is insert-after-equals: a tail entry lands
-// after every base entry of equal key (all of which predate it) and after
-// earlier-inserted tail entries (the stable order sort).
-func (s *Store) mergeFlat(cur *shardSnap, b *summary.MBR, k int) *shardSnap {
-	nt := len(cur.tRefs)
-	lo1At := func(i int) float64 {
-		if i == nt {
-			return b.Lo[0]
-		}
-		return cur.tLo1[i]
-	}
-	order := make([]int, nt+1)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool { return lo1At(order[i]) < lo1At(order[j]) })
-
-	n := len(cur.lo1)
-	total := n + nt + 1
-	next := &shardSnap{
-		lo1:  make([]float64, 0, total),
-		hi1:  make([]float64, 0, total),
-		exp:  make([]sim.Time, 0, total),
-		crd:  make([]float64, 0, total*2*k),
-		refs: make([]*summary.MBR, 0, total),
-		dims: k,
-	}
-	copyBase := func(lo, hi int) {
-		next.lo1 = append(next.lo1, cur.lo1[lo:hi]...)
-		next.hi1 = append(next.hi1, cur.hi1[lo:hi]...)
-		next.exp = append(next.exp, cur.exp[lo:hi]...)
-		next.crd = append(next.crd, cur.crd[lo*2*k:hi*2*k]...)
-		next.refs = append(next.refs, cur.refs[lo:hi]...)
-	}
-	pos := 0
-	for _, ti := range order {
-		key := lo1At(ti)
-		cut := pos + sort.Search(n-pos, func(j int) bool { return cur.lo1[pos+j] > key })
-		copyBase(pos, cut)
-		pos = cut
-		if ti == nt {
-			next.lo1 = append(next.lo1, b.Lo[0])
-			next.hi1 = append(next.hi1, b.Hi[0])
-			next.exp = append(next.exp, b.Expiry)
-			next.crd = appendCorners(next.crd, b)
-			next.refs = append(next.refs, b)
-		} else {
-			next.lo1 = append(next.lo1, cur.tLo1[ti])
-			next.hi1 = append(next.hi1, cur.tHi1[ti])
-			next.exp = append(next.exp, cur.tExp[ti])
-			next.crd = append(next.crd, cur.tCrd[ti*2*k:(ti+1)*2*k]...)
-			next.refs = append(next.refs, cur.tRefs[ti])
-		}
-	}
-	copyBase(pos, n)
-	if s.tailMax > 0 {
-		next.tLo1 = make([]float64, 0, s.tailMax)
-		next.tHi1 = make([]float64, 0, s.tailMax)
-		next.tExp = make([]sim.Time, 0, s.tailMax)
-		next.tRefs = make([]*summary.MBR, 0, s.tailMax)
-		next.tCrd = make([]float64, 0, s.tailMax*2*k)
-	}
-	return next
 }
 
 // insertAt opens a gap at index i and writes v, growing s by one.
@@ -488,149 +409,151 @@ func filterInPlace(cur *shardSnap, drop func(*summary.MBR) bool) int {
 	return n - w
 }
 
-// gatherEntries collects cur's entries in walk order (base, then tail in
-// insertion order), appending b if non-nil.
-func gatherEntries(cur *shardSnap, b *summary.MBR) []*summary.MBR {
-	entries := make([]*summary.MBR, 0, len(cur.refs)+len(cur.tRefs)+1)
-	entries = append(entries, cur.refs...)
-	entries = append(entries, cur.tRefs...)
-	if b != nil {
-		entries = append(entries, b)
-	}
-	return entries
-}
-
-// mergeRuns merges two lo1-sorted runs, taking from base on equal keys so
-// base entries precede tail entries of the same lo1 — together with the
-// tail's stable insertion-order sort this reproduces the historical
-// insert-after-equals sort.Search order.
-func mergeRuns(base, tail []*summary.MBR) []*summary.MBR {
-	if len(tail) == 0 {
-		return append(make([]*summary.MBR, 0, len(base)), base...)
-	}
-	out := make([]*summary.MBR, 0, len(base)+len(tail))
-	i, j := 0, 0
-	for i < len(base) && j < len(tail) {
-		if base[i].Lo[0] <= tail[j].Lo[0] {
-			out = append(out, base[i])
-			i++
-		} else {
-			out = append(out, tail[j])
-			j++
-		}
-	}
-	out = append(out, base[i:]...)
-	return append(out, tail[j:]...)
-}
-
-// buildSnap lays lo1-sorted entries out as a sorted-base snapshot with an
-// empty tail.
-func buildSnap(entries []*summary.MBR, dims, tailMax int) *shardSnap {
-	n := len(entries)
-	next := &shardSnap{
+// buildRun lays lo1-sorted slots out as an immutable sorted run.
+func buildRun(sorted []genSlot) *shardSnap {
+	n := len(sorted)
+	run := &shardSnap{
 		lo1:  make([]float64, n),
 		hi1:  make([]float64, n),
 		exp:  make([]sim.Time, n),
-		refs: entries,
-		dims: dims,
+		refs: make([]*summary.MBR, n),
+		dims: -1,
 	}
-	if n == 0 {
-		next.dims = -1
-		next.refs = nil
+	for i, sl := range sorted {
+		run.lo1[i], run.hi1[i], run.exp[i], run.refs[i] = sl.lo1, sl.hi1, sl.exp, sl.ref
+		run.dims = foldDims(run.dims, len(sl.ref.Lo))
+		run.maxWidth = max(run.maxWidth, sl.hi1-sl.lo1)
+		run.newest = max(run.newest, sl.exp)
 	}
-	if dims > 0 && n > 0 {
-		next.crd = make([]float64, 0, n*2*dims)
-	}
-	for i, e := range entries {
-		next.lo1[i] = e.Lo[0]
-		next.hi1[i] = e.Hi[0]
-		next.exp[i] = e.Expiry
-		if next.crd != nil {
-			next.crd = appendCorners(next.crd, e)
+	if run.dims > 0 {
+		run.crd = make([]float64, 0, n*2*run.dims)
+		for _, sl := range sorted {
+			run.crd = appendCorners(run.crd, sl.ref)
 		}
 	}
-	if tailMax > 0 && n > 0 {
-		next.tLo1 = make([]float64, 0, tailMax)
-		next.tHi1 = make([]float64, 0, tailMax)
-		next.tExp = make([]sim.Time, 0, tailMax)
-		next.tRefs = make([]*summary.MBR, 0, tailMax)
-		if dims > 0 {
-			next.tCrd = make([]float64, 0, tailMax*2*dims)
-		}
-	}
-	return next
+	return run
 }
 
-// Sweep drops expired MBRs, re-tightens each shard's width bound and
-// merges the insert tail into the base; it returns how many entries were
-// removed. Each shard is rebuilt under its own writer mutex — walks in
-// flight keep reading the previous snapshot, there is no store-wide pause.
+// Sweep drops expired MBRs and returns how many entries were removed. On a
+// live store that is pointer work: each shard unlinks the sealed
+// generations whose newest expiry has passed (and retires an active
+// generation in which everything has expired); walks in flight keep
+// reading the view they loaded. An exclusive store filters its run in
+// place and re-tightens its width bound.
 func (s *Store) Sweep(now sim.Time) int {
 	removed := 0
 	for i := range s.shards {
-		removed += s.sweepShard(&s.shards[i], now)
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		if s.exclusive {
+			removed += s.sweepInPlace(sh.view.Load().runs[0], now)
+		} else {
+			removed += s.sweepShard(sh, now)
+		}
+		sh.mu.Unlock()
 	}
 	return removed
 }
 
-// SweepShard sweeps a single shard (identified by index), recomputing its
-// width bound; it returns how many entries were removed. Callers may use
-// it to spread sweep cost over time on huge stores.
-func (s *Store) SweepShard(i int, now sim.Time) int {
-	return s.sweepShard(&s.shards[i], now)
-}
-
-func (s *Store) sweepShard(sh *storeShard, now sim.Time) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.snap.Load()
+// sweepInPlace filters an exclusive store's run, recomputing its dims and
+// width bound.
+func (s *Store) sweepInPlace(cur *shardSnap, now sim.Time) int {
 	dims := -1
 	width := 0.0
-	if s.exclusive {
-		// Exclusive stores (no tail) filter their arrays in place.
-		removed := filterInPlace(cur, func(b *summary.MBR) bool {
-			if b.Expired(now) {
-				return true
-			}
-			dims = foldDims(dims, len(b.Lo))
-			if w := b.Hi[0] - b.Lo[0]; w > width {
-				width = w
-			}
-			return false
-		})
-		cur.dims = dims
-		cur.maxWidth = width
-		cur.epoch++
-		s.epochs.Add(1)
-		return removed
-	}
-	keep := func(dst []*summary.MBR, src []*summary.MBR) []*summary.MBR {
-		for _, b := range src {
-			if b.Expired(now) {
-				continue
-			}
-			dims = foldDims(dims, len(b.Lo))
-			if w := b.Hi[0] - b.Lo[0]; w > width {
-				width = w
-			}
-			dst = append(dst, b)
+	removed := filterInPlace(cur, func(b *summary.MBR) bool {
+		if b.Expired(now) {
+			return true
 		}
-		return dst
-	}
-	// Filter the sorted base and the insertion-order tail separately:
-	// dropping entries preserves each run's order, so one tail sort plus a
-	// linear merge rebuilds the sorted base.
-	keptBase := keep(make([]*summary.MBR, 0, len(cur.refs)), cur.refs)
-	keptTail := keep(make([]*summary.MBR, 0, len(cur.tRefs)), cur.tRefs)
-	sort.SliceStable(keptTail, func(i, j int) bool { return keptTail[i].Lo[0] < keptTail[j].Lo[0] })
-	kept := mergeRuns(keptBase, keptTail)
-	removed := len(cur.refs) + len(cur.tRefs) - len(kept)
-	next := buildSnap(kept, dims, s.tailMax)
-	next.maxWidth = width
-	next.epoch = cur.epoch + 1
-	sh.snap.Store(next)
-	s.cowCopied.Add(int64(len(kept)))
+		dims = foldDims(dims, len(b.Lo))
+		if w := b.Hi[0] - b.Lo[0]; w > width {
+			width = w
+		}
+		return false
+	})
+	cur.dims = dims
+	cur.maxWidth = width
+	cur.epoch++
 	s.epochs.Add(1)
+	return removed
+}
+
+// sweepShard is Sweep on one live shard, under its writer mutex. With
+// nothing to drop it publishes nothing and allocates nothing.
+func (s *Store) sweepShard(sh *storeShard, now sim.Time) int {
+	// An active generation whose newest entry has expired holds nothing
+	// live: it goes too (a trickle too thin to ever fill a generation).
+	retire := sh.finite > 0 && now >= sh.newest
+	if !retire {
+		dead := false
+		for _, p := range sh.view.Load().runs {
+			dead = dead || p.newest <= now
+		}
+		if !dead {
+			return 0
+		}
+	}
+	return s.republish(sh, now, retire)
+}
+
+// republish replaces the shard's view, under its writer mutex: sealed
+// generations whose newest expiry is at or before now are left out, and
+// with seal set the active generation is sealed behind the rest. It returns
+// how many entries the new view no longer holds.
+func (s *Store) republish(sh *storeShard, now sim.Time, seal bool) int {
+	v := sh.view.Load()
+	next := &shardView{
+		runs:   make([]*shardSnap, 0, len(v.runs)+1),
+		active: v.active,
+		epoch:  v.epoch + 1,
+	}
+	removed := 0
+	for _, p := range v.runs {
+		if p.newest <= now {
+			removed += len(p.refs)
+		} else {
+			next.runs = append(next.runs, p)
+		}
+	}
+	sh.sealed -= removed
+	if seal {
+		removed += s.seal(sh, next, now)
+	}
+	sh.view.Store(next)
+	s.epochs.Add(1)
+	return removed
+}
+
+// seal freezes the shard's active generation into next: entries still live
+// at now are sorted once by lo1 into an immutable run, expired ones are
+// dropped (and counted in the result), and entries that never expire are
+// carried into the fresh active generation so they cannot pin a sealed one
+// forever. The old chunks are left untouched for readers still on them.
+func (s *Store) seal(sh *storeShard, next *shardView, now sim.Time) (removed int) {
+	live := make([]genSlot, 0, sh.finite)
+	head := newChunk(sh.n)
+	tail, carried := head, 0
+	for c := next.active; c != nil; c = c.next.Load() {
+		for _, sl := range c.slots[:c.n.Load()] {
+			switch {
+			case sl.exp == 0:
+				tail = tail.append(sl, carried)
+				carried++
+			case now >= sl.exp:
+				removed++
+			default:
+				live = append(live, sl)
+			}
+		}
+	}
+	if len(live) > 0 {
+		slices.SortFunc(live, func(a, b genSlot) int { return cmp.Compare(a.lo1, b.lo1) })
+		next.runs = append(next.runs, buildRun(live))
+		s.merges.Add(1)
+	}
+	next.active = head
+	sh.tail, sh.n, sh.finite, sh.newest = tail, carried, 0, 0
+	sh.sealed += len(live)
+	s.cowCopied.Add(int64(len(live) + carried))
 	return removed
 }
 
@@ -642,22 +565,26 @@ func (s *Store) Candidates(q summary.Feature, radius float64, now sim.Time, node
 
 // AppendCandidates is Candidates appending into dst, for callers that reuse
 // a scratch buffer across queries. The walk itself is lock-free: it loads
-// each shard's current snapshot with one atomic pointer read and scans the
-// flat arrays, so any number of walks proceed in parallel with each other
-// and with writers. Shards where the walk encountered expired entries are
-// compacted afterwards under the writer mutex, so long-lived nodes do not
-// rescan dead entries while waiting for the next Sweep.
+// each shard's current view with one atomic pointer read, binary-searches
+// the sealed runs and scans the active generation flat, so any number of
+// walks proceed in parallel with each other and with writers. Results come
+// generation by generation, each sealed one in lo1 order. An exclusive
+// store additionally compacts a band in which the walk saw expired entries,
+// so a long simulation does not rescan dead entries until the next Sweep.
 func (s *Store) AppendCandidates(dst []query.Match, q summary.Feature, radius float64, now sim.Time, node dht.Key) []query.Match {
 	q1 := q[0]
 	visited := int64(0)
 	for i := range s.shards {
 		sh := &s.shards[i]
-		p := sh.snap.Load()
-		var expired bool
-		dst, visited, expired = p.appendCandidates(dst, visited, q, q1, radius, now, node)
-		if expired {
-			s.compactBand(sh, q1, radius, now)
+		v := sh.view.Load()
+		for _, p := range v.runs {
+			var expired bool
+			dst, visited, expired = p.appendCandidates(dst, visited, q, q1, radius, now, node)
+			if expired && s.exclusive {
+				s.compactBand(sh, q1, radius, now)
+			}
 		}
+		dst, visited = v.active.appendCandidates(dst, visited, q, radius, now, node)
 	}
 	if visited > 0 {
 		s.scanned.Add(visited)
@@ -683,10 +610,11 @@ func minDistFlat(crd []float64, q summary.Feature, k int) float64 {
 	return math.Sqrt(sum)
 }
 
-// appendCandidates walks one snapshot's overlapping band without locks.
-// It reports whether any expired entry was seen, so the caller can compact.
+// appendCandidates walks one sorted run's overlapping band without locks.
+// It reports whether any expired entry was seen, so an exclusive store can
+// compact.
 func (p *shardSnap) appendCandidates(dst []query.Match, visited int64, q summary.Feature, q1, radius float64, now sim.Time, node dht.Key) ([]query.Match, int64, bool) {
-	if len(p.lo1) == 0 && len(p.tLo1) == 0 {
+	if len(p.lo1) == 0 {
 		return dst, visited, false
 	}
 	// Only entries with Lo[0] in [q1-r-maxWidth, q1+r] can have a
@@ -710,10 +638,13 @@ func (p *shardSnap) appendCandidates(dst []query.Match, visited int64, q summary
 		}
 		if p.hi1[j] >= qlo { // cheap interval pre-test before MinDist
 			var d float64
-			if flat {
+			switch {
+			case flat:
 				d = minDistFlat(p.crd[j*2*k:(j+1)*2*k], q, k)
-			} else {
+			case len(p.refs[j].Lo) == len(q):
 				d = p.refs[j].MinDist(q)
+			default:
+				continue // another dimensionality: cannot match
 			}
 			if d <= radius {
 				b := p.refs[j]
@@ -727,30 +658,32 @@ func (p *shardSnap) appendCandidates(dst []query.Match, visited int64, q summary
 			}
 		}
 	}
+	return dst, visited, sawExpired
+}
 
-	tflat := k == len(q) && p.tCrd != nil
-	for j := 0; j < len(p.tLo1); j++ {
-		l1 := p.tLo1[j]
-		if l1 < lo || l1 > hi {
-			continue
-		}
-		visited++
-		if e := p.tExp[j]; e != 0 && now >= e {
-			sawExpired = true
-			continue
-		}
-		if p.tHi1[j] >= qlo {
-			var d float64
-			if tflat {
-				d = minDistFlat(p.tCrd[j*2*k:(j+1)*2*k], q, k)
-			} else {
-				d = p.tRefs[j].MinDist(q)
+// appendCandidates scans the active generation from chunk c on: every
+// published slot whose first-coefficient interval overlaps the query's is
+// visited, expired ones are skipped, the rest take the exact MinDist test.
+func (c *genChunk) appendCandidates(dst []query.Match, visited int64, q summary.Feature, radius float64, now sim.Time, node dht.Key) ([]query.Match, int64) {
+	qlo, qhi := q[0]-radius, q[0]+radius
+	for ; c != nil; c = c.next.Load() {
+		slots := c.slots[:c.n.Load()]
+		for j := range slots {
+			sl := &slots[j]
+			if sl.hi1 < qlo || sl.lo1 > qhi {
+				continue
 			}
-			if d <= radius {
-				b := p.tRefs[j]
+			visited++
+			if sl.exp != 0 && now >= sl.exp {
+				continue
+			}
+			if len(sl.ref.Lo) != len(q) {
+				continue // another dimensionality: cannot match
+			}
+			if d := sl.ref.MinDist(q); d <= radius {
 				dst = append(dst, query.Match{
-					StreamID: b.StreamID,
-					Seq:      b.Seq,
+					StreamID: sl.ref.StreamID,
+					Seq:      sl.ref.Seq,
 					DistLB:   d,
 					FoundAt:  now,
 					Node:     node,
@@ -758,111 +691,45 @@ func (p *shardSnap) appendCandidates(dst []query.Match, visited int64, q summary
 			}
 		}
 	}
-	return dst, visited, sawExpired
+	return dst, visited
 }
 
-// compactBand rebuilds the shard without the expired entries of the band a
-// query just scanned, under the writer mutex. It runs only when a walk
-// actually saw expired entries, which is rare between sweeps, so
-// steady-state walks never touch the mutex.
+// compactBand drops, in place, the expired entries of the band a query
+// just scanned on an exclusive store.
 func (s *Store) compactBand(sh *storeShard, q1, radius float64, now sim.Time) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	cur := sh.snap.Load()
+	cur := sh.view.Load().runs[0]
 	lo := q1 - radius - cur.maxWidth
 	hi := q1 + radius
 	inBandExpired := func(b *summary.MBR) bool {
 		l1 := b.Lo[0]
 		return l1 >= lo && l1 <= hi && b.Expired(now)
 	}
-	if s.exclusive {
-		if removed := filterInPlace(cur, inBandExpired); removed > 0 {
-			if len(cur.refs) == 0 {
-				cur.dims = -1
-			}
-			cur.epoch++
-			s.epochs.Add(1)
+	if removed := filterInPlace(cur, inBandExpired); removed > 0 {
+		if len(cur.refs) == 0 {
+			cur.dims = -1
 		}
-		return
+		cur.epoch++
+		s.epochs.Add(1)
 	}
-	dropped := 0
-	for _, b := range cur.refs {
-		if inBandExpired(b) {
-			dropped++
-		}
-	}
-	for _, b := range cur.tRefs {
-		if inBandExpired(b) {
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		return // another walk already compacted this band
-	}
-	next := &shardSnap{
-		dims:     cur.dims,
-		maxWidth: cur.maxWidth,
-		epoch:    cur.epoch + 1,
-	}
-	n := len(cur.refs) - dropped // upper bound; tail survivors counted below
-	if n < 0 {
-		n = 0
-	}
-	next.lo1 = make([]float64, 0, n)
-	next.hi1 = make([]float64, 0, n)
-	next.exp = make([]sim.Time, 0, n)
-	next.refs = make([]*summary.MBR, 0, n)
-	if cur.crd != nil && cur.dims > 0 {
-		next.crd = make([]float64, 0, n*2*cur.dims)
-	}
-	for i, b := range cur.refs {
-		if inBandExpired(b) {
-			continue
-		}
-		next.lo1 = append(next.lo1, cur.lo1[i])
-		next.hi1 = append(next.hi1, cur.hi1[i])
-		next.exp = append(next.exp, cur.exp[i])
-		next.refs = append(next.refs, b)
-		if next.crd != nil {
-			next.crd = appendCorners(next.crd, b)
-		}
-	}
-	if s.tailMax > 0 {
-		next.tLo1 = make([]float64, 0, s.tailMax)
-		next.tHi1 = make([]float64, 0, s.tailMax)
-		next.tExp = make([]sim.Time, 0, s.tailMax)
-		next.tRefs = make([]*summary.MBR, 0, s.tailMax)
-		if cur.dims > 0 {
-			next.tCrd = make([]float64, 0, s.tailMax*2*cur.dims)
-		}
-		for i, b := range cur.tRefs {
-			if inBandExpired(b) {
-				continue
-			}
-			next.tLo1 = append(next.tLo1, cur.tLo1[i])
-			next.tHi1 = append(next.tHi1, cur.tHi1[i])
-			next.tExp = append(next.tExp, cur.tExp[i])
-			next.tRefs = append(next.tRefs, b)
-			if next.tCrd != nil && cur.tCrd != nil {
-				next.tCrd = appendCorners(next.tCrd, b)
-			}
-		}
-		if len(next.tRefs) > 0 && next.tCrd != nil && cur.tCrd == nil {
-			// Mixed provenance: tail had no corner array to copy from.
-			next.tCrd = nil
-		}
-	}
-	if len(next.refs) == 0 && len(next.tRefs) == 0 {
-		next.dims = -1
-	}
-	sh.snap.Store(next)
-	s.cowCopied.Add(int64(len(next.refs) + len(next.tRefs)))
-	s.epochs.Add(1)
 }
 
-// shardWidth returns shard i's current width bound (tests).
+// shardWidth returns the widest first-coefficient interval shard i's walks
+// have to allow for: the largest width bound among its sealed runs and the
+// widest entry of its active generation (tests).
 func (s *Store) shardWidth(i int) float64 {
-	return s.shards[i].snap.Load().maxWidth
+	v := s.shards[i].view.Load()
+	w := 0.0
+	for _, p := range v.runs {
+		w = max(w, p.maxWidth)
+	}
+	for c := v.active; c != nil; c = c.next.Load() {
+		for _, sl := range c.slots[:c.n.Load()] {
+			w = max(w, sl.hi1-sl.lo1)
+		}
+	}
+	return w
 }
 
 // allEntries returns a copy of every shard's entries (tests).
@@ -874,10 +741,20 @@ func (s *Store) allEntries() []*summary.MBR {
 	return out
 }
 
-// shardEntries returns a copy of shard i's entries in walk order: sorted
-// base first, then the insert tail in insertion order (tests).
+// shardEntries returns a copy of shard i's entries in walk order: sealed
+// runs oldest first, then the active generation in insertion order (tests).
 func (s *Store) shardEntries(i int) []*summary.MBR {
-	return gatherEntries(s.shards[i].snap.Load(), nil)
+	v := s.shards[i].view.Load()
+	var out []*summary.MBR
+	for _, p := range v.runs {
+		out = append(out, p.refs...)
+	}
+	for c := v.active; c != nil; c = c.next.Load() {
+		for _, sl := range c.slots[:c.n.Load()] {
+			out = append(out, sl.ref)
+		}
+	}
+	return out
 }
 
 // MatchMBR tests a single, just-arrived MBR against a query feature.
@@ -986,43 +863,45 @@ type ipSubState struct {
 
 // AppendOverlapping appends a match for every live stored MBR whose
 // rectangle intersects [lo, hi] — the store walk behind standing pub/sub
-// predicates. Like AppendCandidates it is lock-free: each shard's snapshot
-// is loaded with one atomic read and scanned flat, with the same
+// predicates. Like AppendCandidates it is lock-free, with the same
 // L₁ band pruning (an entry can only overlap if its first-coefficient
-// interval does).
+// interval does): a binary search per sealed run, a flat scan of the
+// active generation.
 func (s *Store) AppendOverlapping(dst []query.Match, lo, hi summary.Feature, now sim.Time, node dht.Key) []query.Match {
 	l1lo, l1hi := lo[0], hi[0]
 	visited := int64(0)
 	for i := range s.shards {
-		p := s.shards[i].snap.Load()
-		if len(p.lo1) == 0 && len(p.tLo1) == 0 {
-			continue
+		v := s.shards[i].view.Load()
+		for _, p := range v.runs {
+			from := l1lo - p.maxWidth
+			start := sort.Search(len(p.lo1), func(j int) bool { return p.lo1[j] >= from })
+			for j := start; j < len(p.lo1); j++ {
+				if p.lo1[j] > l1hi {
+					break
+				}
+				visited++
+				if e := p.exp[j]; e != 0 && now >= e {
+					continue
+				}
+				if b := p.refs[j]; rectOverlaps(b, lo, hi) {
+					dst = append(dst, query.Match{StreamID: b.StreamID, Seq: b.Seq, FoundAt: now, Node: node})
+				}
+			}
 		}
-		from := l1lo - p.maxWidth
-		start := sort.Search(len(p.lo1), func(j int) bool { return p.lo1[j] >= from })
-		for j := start; j < len(p.lo1); j++ {
-			if p.lo1[j] > l1hi {
-				break
-			}
-			visited++
-			if e := p.exp[j]; e != 0 && now >= e {
-				continue
-			}
-			if b := p.refs[j]; rectOverlaps(b, lo, hi) {
-				dst = append(dst, query.Match{StreamID: b.StreamID, Seq: b.Seq, FoundAt: now, Node: node})
-			}
-		}
-		for j := 0; j < len(p.tLo1); j++ {
-			l1 := p.tLo1[j]
-			if l1 < from || l1 > l1hi {
-				continue
-			}
-			visited++
-			if e := p.tExp[j]; e != 0 && now >= e {
-				continue
-			}
-			if b := p.tRefs[j]; rectOverlaps(b, lo, hi) {
-				dst = append(dst, query.Match{StreamID: b.StreamID, Seq: b.Seq, FoundAt: now, Node: node})
+		for c := v.active; c != nil; c = c.next.Load() {
+			slots := c.slots[:c.n.Load()]
+			for j := range slots {
+				sl := &slots[j]
+				if sl.hi1 < l1lo || sl.lo1 > l1hi {
+					continue
+				}
+				visited++
+				if sl.exp != 0 && now >= sl.exp {
+					continue
+				}
+				if b := sl.ref; rectOverlaps(b, lo, hi) {
+					dst = append(dst, query.Match{StreamID: b.StreamID, Seq: b.Seq, FoundAt: now, Node: node})
+				}
 			}
 		}
 	}

@@ -45,7 +45,10 @@ func TestShardedStoreMatchesSingleShard(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		q := summary.Feature{rng.Float64()*3 - 1.5, rng.Float64()}
 		r := rng.Float64() * 0.5
-		now := sim.Time(rng.Intn(120))
+		// Time only moves forward: the oracle forgets the expired entries
+		// a walk passes over, the generational store keeps them until
+		// their generation is dropped.
+		now := sim.Time(trial * 120 / 200)
 		got := sharded.Candidates(q, r, now, 1)
 		want := oracle.Candidates(q, r, now, 1)
 		sortMatches(got)
@@ -147,25 +150,44 @@ func TestShardedStoreConcurrentOracle(t *testing.T) {
 }
 
 // TestShardWidthBoundStaysLocal is the stale-width regression test: a wide
-// MBR must inflate only its own shard's scan band, and once it expires and
-// that shard is swept, the shard's width bound must re-tighten so the band
-// shrinks back — under the old store-global bound, one long-gone wide MBR
+// MBR must inflate only the scan band of the generation that holds it —
+// not another shard's, not a later generation's in its own shard — and
+// once it expires and its generation is dropped, the shard's width bound
+// must re-tighten. Under the old store-global bound, one long-gone wide MBR
 // kept every future walk wide until the next full sweep re-tightened it.
 func TestShardWidthBoundStaysLocal(t *testing.T) {
 	s := NewShardedStore(4)
-	// With bandWidth 0.25 and 4 shards: l1 in [0, 0.25) -> shard 0,
-	// [0.25, 0.5) -> shard 1.
+	// With bandWidth 0.25 and 4 shards: l1 in [0, 0.25) and [1, 1.25) ->
+	// shard 0, [0.25, 0.5) -> shard 1.
 	wideShard := s.shardOf(0.1)
 	narrowShard := s.shardOf(0.3)
-	if wideShard == narrowShard {
-		t.Fatalf("test geometry broken: both bands map to shard %d", wideShard)
+	if wideShard == narrowShard || s.shardOf(1.1) != wideShard {
+		t.Fatalf("test geometry broken: bands map to shards %d, %d, %d", wideShard, narrowShard, s.shardOf(1.1))
 	}
-	// A very wide rectangle in shard 0, expiring at t=1s.
+	// A very wide rectangle in shard 0, expiring at t=1s, and enough
+	// filler in the shard's far band, expiring with it, to seal the two
+	// into one generation.
 	s.Put(mbrAt("wide", 0, summary.Feature{0.1, 0}, summary.Feature{2.1, 0}, sim.Second))
-	// A dense strip of narrow entries in shard 1.
+	if w := s.shardWidth(wideShard); w < 1.9 {
+		t.Fatalf("wide shard width bound = %v before sealing, want ~2", w)
+	}
+	for i := 1; i < minChunk; i++ {
+		l1 := 1 + float64(i)*0.003
+		s.Put(mbrAt("filler", uint64(i), summary.Feature{l1, 0}, summary.Feature{l1 + 0.001, 0}, sim.Second))
+	}
+	if got := s.Generations(); got != 1 || s.SnapStats().Merges != 1 {
+		t.Fatalf("store holds %d generations after %d seals, want the wide one, sealed", got, s.SnapStats().Merges)
+	}
+	// Dense strips of narrow entries, expiring at t=2s: one in shard 1, one
+	// behind the wide MBR in shard 0, each long enough to seal a generation
+	// of its own and start the next.
 	for i := 0; i < 100; i++ {
-		l1 := 0.25 + float64(i)*0.0025 // [0.25, 0.5)
-		s.Put(mbrAt("narrow", uint64(1+i), summary.Feature{l1, 0}, summary.Feature{l1 + 0.001, 0}, 0))
+		off := float64(i) * 0.0025
+		s.Put(mbrAt("narrow", uint64(1+i), summary.Feature{0.25 + off, 0}, summary.Feature{0.251 + off, 0}, 2*sim.Second))
+		s.Put(mbrAt("behind", uint64(1+i), summary.Feature{off, 0}, summary.Feature{0.001 + off, 0}, 2*sim.Second))
+	}
+	if got := s.Generations(); got != 5 {
+		t.Fatalf("store holds %d generations, want 5 (wide; behind and narrow, each sealed + active)", got)
 	}
 	if w := s.shardWidth(wideShard); w < 1.9 {
 		t.Fatalf("wide shard width bound = %v, want ~2", w)
@@ -174,24 +196,34 @@ func TestShardWidthBoundStaysLocal(t *testing.T) {
 		t.Fatalf("narrow shard width bound = %v, polluted by the wide MBR", w)
 	}
 
-	// A tight query inside the narrow strip: the wide MBR in the other
-	// shard must not inflate the scanned band. Band is [q1-r-width, q1+r]
-	// ~ 0.02 wide -> ~8 strip entries, not all 100.
-	_, before := s.Stats()
-	got := s.Candidates(summary.Feature{0.375, 0}, 0.01, 2*sim.Second, 1)
-	_, after := s.Stats()
-	if len(got) == 0 {
-		t.Fatal("query matched nothing")
-	}
-	if scanned := after - before; scanned > 20 {
-		t.Fatalf("narrow-band query scanned %d entries; the wide shard's bound leaked", scanned)
+	// A tight query inside either strip: the wide MBR must not inflate the
+	// band scanned in the strip's generations. Band is [q1-r-width, q1+r]
+	// ~ 0.02 wide -> ~8 strip entries, not all 100 (plus, in shard 0, the
+	// wide MBR itself: its generation's band is wide, but the filler lies
+	// beyond it).
+	const now = 9 * sim.Second / 10
+	for _, q1 := range []float64{0.375, 0.125} {
+		_, before := s.Stats()
+		got := s.Candidates(summary.Feature{q1, 0}, 0.01, now, 1)
+		_, after := s.Stats()
+		if len(got) == 0 {
+			t.Fatalf("query at %v matched nothing", q1)
+		}
+		if scanned := after - before; scanned > 20 {
+			t.Fatalf("narrow-band query at %v scanned %d entries; the wide generation's bound leaked", q1, scanned)
+		}
 	}
 
-	// The wide MBR has expired: a shard-local sweep must re-tighten the
-	// bound even though no other shard was touched.
-	s.SweepShard(wideShard, 2*sim.Second)
-	if w := s.shardWidth(wideShard); w != 0 {
-		t.Fatalf("wide shard width bound = %v after local sweep, want 0", w)
+	// The wide MBR has expired: sweeping drops its generation and with it
+	// the bound, while the strip behind it stays.
+	if removed := s.Sweep(3 * sim.Second / 2); removed != minChunk {
+		t.Fatalf("sweep removed %d entries, want the wide generation's %d", removed, minChunk)
+	}
+	if w := s.shardWidth(wideShard); w > 0.01 {
+		t.Fatalf("wide shard width bound = %v after its generation was dropped, want the strip's", w)
+	}
+	if got := s.Len(); got != 200 {
+		t.Fatalf("store holds %d entries, want the two strips (200)", got)
 	}
 }
 

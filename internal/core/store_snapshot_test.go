@@ -124,7 +124,7 @@ func TestSnapshotConcurrentIngestExpiryMatch(t *testing.T) {
 					}
 				}
 				for i := range lastEpoch {
-					e := s.ShardEpoch(i)
+					e := s.shards[i].view.Load().epoch
 					if e < lastEpoch[i] {
 						t.Errorf("shard %d epoch ran backwards: %d -> %d", i, lastEpoch[i], e)
 						return
@@ -166,91 +166,129 @@ func TestSnapshotConcurrentIngestExpiryMatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotStaleReadIsImmutable is the stale-epoch regression test: a
-// snapshot pointer captured before a burst of mutations must keep
-// describing exactly the state it was published with. This guards the
-// in-place tail-append invariant — a writer may extend the shared tail
-// backing past a published snapshot's length, but must never write inside
-// it. A bug there would show up here as the stale walk seeing entries (or
-// corner coordinates) from the future.
+// walkView runs a candidate walk over one loaded shard view, the way
+// AppendCandidates does for every shard.
+func walkView(v *shardView, q summary.Feature, radius float64, now sim.Time) []query.Match {
+	var out []query.Match
+	for _, p := range v.runs {
+		out, _, _ = p.appendCandidates(out, 0, q, q[0], radius, now, 1)
+	}
+	out, _ = v.active.appendCandidates(out, 0, q, radius, now, 1)
+	return out
+}
+
+// TestSnapshotStaleReadIsImmutable is the stale-view regression test: what
+// a reader loaded must keep describing the state it was published with.
+// A sealed generation is frozen for good; of the active generation a
+// reader owns the prefix it saw published — a writer may fill slots past
+// it, never within it, and stops touching the chunks altogether once the
+// generation is sealed. A bug there would show up here as a stale walk
+// losing entries or seeing their coordinates change.
 func TestSnapshotStaleReadIsImmutable(t *testing.T) {
 	s := NewShardedStore(1)
+	sh := &s.shards[0]
+	// One sealed generation and a partly filled active one.
+	for i := 0; i < minChunk; i++ {
+		l1 := float64(i%10) * 0.01
+		s.Put(mbrAt("sealed", uint64(i), summary.Feature{l1, 0}, summary.Feature{l1 + 0.005, 0.1}, 10*sim.Second))
+	}
 	for i := 0; i < 10; i++ {
 		l1 := float64(i) * 0.01
-		s.Put(mbrAt("old", uint64(i), summary.Feature{l1, 0}, summary.Feature{l1 + 0.005, 0.1}, 0))
+		s.Put(mbrAt("active", uint64(i), summary.Feature{l1, 0}, summary.Feature{l1 + 0.005, 0.1}, 11*sim.Second))
 	}
-	sh := &s.shards[0]
-	stale := sh.snap.Load()
-	staleEpoch := stale.epoch
-	wantLen := len(stale.lo1) + len(stale.tLo1)
-	if wantLen != 10 {
-		t.Fatalf("stale snapshot holds %d entries, want 10", wantLen)
+	stale := sh.view.Load()
+	if len(stale.runs) != 1 || stale.active.n.Load() != 10 {
+		t.Fatalf("stale view holds %d sealed runs and %d active entries, want 1 and 10", len(stale.runs), stale.active.n.Load())
 	}
+	frozen := freezeView(stale)
 	q := summary.Feature{0.04, 0.05}
-	wantMatches, _, _ := stale.appendCandidates(nil, 0, q, q[0], 0.1, 0, 1)
+	const now = 3 * sim.Second
+	wantMatches := walkView(stale, q, 0.1, now)
+	if len(wantMatches) != minChunk+10 {
+		t.Fatalf("stale walk found %d matches, want all %d entries", len(wantMatches), minChunk+10)
+	}
 
-	// Mutate heavily: more puts into the same band (in-place tail appends
-	// and merges), an expiring entry plus a walk to trigger compaction,
-	// and a sweep.
-	for i := 0; i < 200; i++ {
-		l1 := float64(i%20) * 0.005
-		s.Put(mbrAt("new", uint64(i), summary.Feature{l1, 0}, summary.Feature{l1 + 0.005, 0.1}, 0))
+	// Mutate heavily: more puts into the same band (in-place appends, new
+	// chunks, seals of the active generation the stale reader is on and of
+	// later ones), and sweeps, the last of which drop the stale sealed run.
+	for round := 0; round < 5; round++ {
+		for i := 0; i < 200; i++ {
+			l1 := float64(i%20) * 0.005
+			s.Put(mbrAt("new", uint64(round*200+i), summary.Feature{l1, 0}, summary.Feature{l1 + 0.005, 0.1}, 12*sim.Second))
+		}
+		s.Sweep(now + sim.Time(round+1)*2*sim.Second)
 	}
-	s.Put(mbrAt("dying", 0, summary.Feature{0.04, 0}, summary.Feature{0.05, 0.1}, sim.Second))
-	s.Candidates(q, 0.1, 2*sim.Second, 1) // sees the expired entry -> compacts
-	s.Sweep(2 * sim.Second)
+	cur := sh.view.Load()
+	if cur.epoch <= stale.epoch {
+		t.Fatalf("view epoch did not advance under mutation: %d -> %d", stale.epoch, cur.epoch)
+	}
+	for _, p := range cur.runs {
+		if p == stale.runs[0] {
+			t.Fatal("the stale sealed run survived a sweep past its newest expiry")
+		}
+	}
 
-	if e := sh.snap.Load().epoch; e <= staleEpoch {
-		t.Fatalf("epoch did not advance under mutation: %d -> %d", staleEpoch, e)
+	frozen.verify(t)
+	// The stale walk still finds every entry it found before, at the same
+	// distance; whatever else it finds was appended to its own generation
+	// before that was sealed.
+	got := map[string]query.Match{}
+	for _, m := range walkView(stale, q, 0.1, now) {
+		got[fmt.Sprint(m.StreamID, "/", m.Seq)] = m
 	}
-	if got := len(stale.lo1) + len(stale.tLo1); got != wantLen {
-		t.Fatalf("stale snapshot length changed under mutation: %d -> %d", wantLen, got)
-	}
-	gotMatches, _, _ := stale.appendCandidates(nil, 0, q, q[0], 0.1, 0, 1)
-	sortMatches(wantMatches)
-	sortMatches(gotMatches)
-	if fmt.Sprint(gotMatches) != fmt.Sprint(wantMatches) {
-		t.Fatalf("stale snapshot walk changed under mutation:\nbefore %v\nafter  %v", wantMatches, gotMatches)
-	}
-	for _, m := range gotMatches {
-		if m.StreamID != "old" {
-			t.Fatalf("stale walk surfaced an entry from the future: %+v", m)
+	for _, m := range wantMatches {
+		if g, ok := got[fmt.Sprint(m.StreamID, "/", m.Seq)]; !ok || g != m {
+			t.Fatalf("stale walk lost or changed %+v (now %+v)", m, g)
 		}
 	}
 }
 
 // TestSnapshotEpochAndCowCounters sanity-checks the SnapStats surface the
-// node exposes over STATS: every Put publishes (epoch bump), merges happen
-// every tailMax inserts on the live store, while the exclusive simulator
-// store inserts in place — no merges, no COW, no tail.
+// node exposes over STATS. On the live store every Put publishes (epoch
+// bump) and moves nothing; an entry is moved exactly once, when the Put
+// that fills its generation seals it; a sweep with nothing to drop
+// publishes nothing; dropping generations moves nothing. The exclusive
+// simulator store inserts in place — no generations, no seals.
 func TestSnapshotEpochAndCowCounters(t *testing.T) {
 	live := NewShardedStore(1)
-	// A merge fires on the put that finds the tail full: after
-	// 2*tailMax+2 puts exactly two tails have filled and merged.
-	n := 2*storeTailMax + 2
+	const n = 600
 	for i := 0; i < n; i++ {
-		live.Put(mbrAt("s", uint64(i), summary.Feature{0.1}, summary.Feature{0.2}, 0))
+		live.Put(mbrAt("s", uint64(i), summary.Feature{0.1}, summary.Feature{0.2}, 8*sim.Second))
 	}
-	st := live.SnapStats()
-	if st.Epochs != int64(n) {
-		t.Fatalf("live Epochs = %d, want %d", st.Epochs, n)
+	// Generations of minChunk until the sealed ones hold G of them, then
+	// of 1/G of what is sealed: 8 x 64, then one of 64 (512/8).
+	const seals, moved = 9, 9 * minChunk
+	want := SnapStats{Epochs: n + seals, CowCopied: moved, Merges: seals}
+	if st := live.SnapStats(); st != want {
+		t.Fatalf("after %d puts: %+v, want %+v", n, st, want)
 	}
-	if st.Merges != 2 {
-		t.Fatalf("live Merges = %d, want 2 (one per full tail)", st.Merges)
+	if got := live.Generations(); got != seals+1 {
+		t.Fatalf("%d generations, want %d sealed and the active one", got, seals)
+	}
+	live.Sweep(sim.Second) // nothing has expired
+	if st := live.SnapStats(); st != want {
+		t.Fatalf("an idle sweep published: %+v", st)
+	}
+	if removed := live.Sweep(8 * sim.Second); removed != n || live.Len() != 0 || live.Generations() != 0 {
+		t.Fatalf("sweep past expiry removed %d of %d, %d left in %d generations", removed, n, live.Len(), live.Generations())
+	}
+	want.Epochs++
+	if st := live.SnapStats(); st != want {
+		t.Fatalf("dropping every generation: %+v, want one more epoch and nothing moved (%+v)", st, want)
 	}
 
 	simStore := NewStore()
 	for i := 0; i < 5; i++ {
 		simStore.Put(mbrAt("s", uint64(i), summary.Feature{0.1}, summary.Feature{0.2}, 0))
 	}
-	st = simStore.SnapStats()
+	st := simStore.SnapStats()
 	if st.Epochs != 5 {
 		t.Fatalf("sim Epochs = %d, want 5 (one per Put)", st.Epochs)
 	}
 	if st.Merges != 0 || st.CowCopied != 0 {
-		t.Fatalf("sim store copied on write (merges %d, cow %d); exclusive mode must insert in place", st.Merges, st.CowCopied)
+		t.Fatalf("sim store sealed (merges %d, moved %d); exclusive mode must insert in place", st.Merges, st.CowCopied)
 	}
-	if n := len(simStore.shards[0].snap.Load().tLo1); n != 0 {
-		t.Fatalf("sim store deferred %d entries to a tail; order fidelity requires none", n)
+	if v := simStore.shards[0].view.Load(); len(v.runs) != 1 || v.active != nil || len(v.runs[0].refs) != 5 {
+		t.Fatalf("sim store is not one in-place run: %d runs, active %v", len(v.runs), v.active)
 	}
 }

@@ -1,7 +1,7 @@
 package metrics
 
 // DataPlane is a point-in-time snapshot of the live node's read-path
-// counters: the MBR store's epoch-published snapshots, the decode arenas
+// counters: the MBR store's generation lifecycle, the decode arenas
 // feeding zero-copy unmarshalling, and the optional UDP datagram plane.
 // The collector cannot gather these itself — they live in layers above it
 // (core's store, the transport's arenas and sockets) — so the node
@@ -9,8 +9,8 @@ package metrics
 // (the STATS command, benchmarks, tests). All fields are cumulative since
 // node start; subtract two snapshots for an interval.
 type DataPlane struct {
-	// Store snapshot lifecycle: published epochs, entries copied by
-	// copy-on-write tail appends, and sorted-base merges.
+	// Store generation lifecycle: publications (every put, seal and
+	// drop), entries moved when a generation was sealed, and seals.
 	StoreEpochs    int64
 	StoreCowCopied int64
 	StoreMerges    int64

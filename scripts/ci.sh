@@ -25,9 +25,18 @@
 #                        TCP cluster must reproduce the simulator's answer
 #                        sets, and a subscription must survive the scripted
 #                        crash of every covering node
-#  10. zero-alloc guards — the lock-free snapshot walk, the candidate
-#                        append and the arena decode must stay
-#                        allocation-free on their steady state
+#  10. zero-alloc guards — the lock-free store walks (exclusive run,
+#                        un-swept and generational shards), a sweep with
+#                        nothing to seal or drop and the arena decode must
+#                        stay allocation-free on their steady state, and a
+#                        steady-state Put must amortize under 0.1 allocs
+#  10b. benchmark module — vet and race-test benchmark/ (its own module,
+#                        compiled against this tree's exported surface),
+#                        then `bash benchmark/run.sh -smoke`: all four
+#                        workloads with 3 s windows, each checked against
+#                        its oracle — a lost detection, a wrong answer, a
+#                        dropped frame or a simulator count that moved
+#                        exits non-zero
 #  11. smoke bench     — BENCH_FAST=1 figure benchmarks, one iteration,
 #                        so an accidental O(N) regression in the hot paths
 #                        shows up as a CI timeout / obvious slowdown
@@ -132,12 +141,22 @@ echo "== continuous-query operator parity (race) =="
 go test -race -count=1 -run 'TestOperatorParitySimVsLive' ./internal/transport
 go test -race -count=1 -run 'TestSubscriptionSurvivesCoveringNodeCrash' ./internal/core
 
-echo "== zero-alloc guards (snapshot walk, candidate append, arena decode) =="
+echo "== zero-alloc guards (store walks, idle sweep, amortized put, arena decode) =="
 # The lock-free read path is only lock-free if it also stays off the
 # allocator: a single alloc in the walk re-introduces GC coordination.
+# The write path must not creep back to a snapshot per put either.
 go test -count=1 \
-    -run 'TestShardedStoreZeroAllocWalk|TestAppendCandidatesZeroAllocs|TestArenaDecodeZeroAllocAmortized' \
+    -run 'TestShardedStoreZeroAllocWalk|TestAppendCandidatesZeroAllocs|TestGenStoreIdleSweepAndWalkZeroAllocs|TestGenStorePutAmortizedAllocs|TestArenaDecodeZeroAllocAmortized' \
     ./internal/core
+
+echo "== benchmark module: vet, race tests, four-workload smoke =="
+# benchmark/ is its own module compiled against this tree: a change to the
+# surface it imports fails here, not in the benchmark pipeline. The smoke
+# run boots the live ring three times and the 500-node simulator once with
+# 3 s windows; every workload is checked against its oracle (recall 1, no
+# wrong answer, no dropped frame, simulator counts bit-identical).
+(cd benchmark && go vet . && go test -race .)
+bash benchmark/run.sh -smoke
 
 echo "== smoke bench (BENCH_FAST=1) =="
 BENCH_FAST=1 go test -run '^$' \
