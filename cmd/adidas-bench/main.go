@@ -5,26 +5,18 @@
 //
 //	adidas-bench -exp all
 //	adidas-bench -exp fig6a -sizes 50,100,200,300,500
-//	adidas-bench -exp fig7b
 //	adidas-bench -exp ablation-baselines -sizes 50,100 -measure 60
-//	adidas-bench -bench BENCH_1.json     # machine-readable figure benchmarks
-//	adidas-bench -parallel BENCH_4.json  # data-plane parallelism (GOMAXPROCS 1/4/8)
-//	adidas-bench -ops BENCH_5.json       # continuous-query operator throughput
-//	adidas-bench -loadskew BENCH_6.json -maxskew 3  # load spread under Zipf skew
-//	adidas-bench -substrates BENCH_7.json -maxhopsratio 1  # chord vs koorde head-to-head
-//	adidas-bench -substrates BENCH_8.json -maxhopsratio 1 -maxmaintratio 1.3 -maxtailratio 1.15
-//	adidas-bench -exp fig6a -substrate koorde            # figure rows on another ring machine
-//	adidas-bench -compare old.json,new.json
-//	adidas-bench -compare BENCH_3.json,BENCH_4.json -minratio store-match@4=1.3
+//	adidas-bench -exp fig6a -substrate koorde   # figure rows on another ring machine
 //
-// Experiments: table1, fig3b, fig6a, fig6b, fig7a, fig7b, fig8, cqe, loadskew,
-// ablation-multicast, ablation-baselines, ablation-batch,
-// ablation-adaptive, ablation-hierarchy, ablation-resilience,
-// ablation-treehops, ablation-bandwidth, ablation-substrates,
-// headtohead, all.
+// The experiment names are the registry below; `adidas-bench -h` lists
+// them. Every experiment is deterministic for a fixed -seed. Sweeps run
+// one simulation per parameter point, in parallel across -workers
+// goroutines.
 //
-// Every experiment is deterministic for a fixed -seed. Sweeps run one
-// simulation per parameter point, in parallel across -workers goroutines.
+// This command prints simulator tables only. Wall-clock performance of
+// the live ring is measured by benchmark/ (`bash benchmark/run.sh`); the
+// deterministic skew and substrate ratio gates are tests in
+// internal/experiments.
 package main
 
 import (
@@ -39,73 +31,134 @@ import (
 	"streamdex/internal/workload"
 )
 
+// env is what an experiment may read: the workload template and the
+// sweep sizes after -sizes has been applied.
+type env struct {
+	base          workload.Config
+	paperSizes    []int
+	overheadSizes []int
+	// baselineSizes is overheadSizes, capped under -exp all: the strawmen
+	// get expensive fast.
+	baselineSizes []int
+	workers       int
+}
+
+// registry is every experiment in the order -exp all prints them. The
+// -exp help and the unknown-name error are generated from it.
+var registry = []struct {
+	name string
+	run  func(env) (*experiments.Table, error)
+}{
+	{"table1", func(env) (*experiments.Table, error) {
+		return experiments.TableI(), nil
+	}},
+	{"fig3b", func(e env) (*experiments.Table, error) {
+		return experiments.Fig3b(128, 3, 20000, e.base.Seed), nil
+	}},
+	{"fig6a", func(e env) (*experiments.Table, error) {
+		return rendered(experiments.Fig6a)(experiments.LoadVsNodes(e.paperSizes, e.base, e.workers))
+	}},
+	{"fig6b", func(e env) (*experiments.Table, error) {
+		return rendered(experiments.Fig6b)(experiments.LoadDistribution(200, 8, e.base))
+	}},
+	{"fig7a", func(e env) (*experiments.Table, error) {
+		rows, err := experiments.Overhead(e.overheadSizes, e.base, 0.1, e.workers)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Fig7("a", 0.1, rows), nil
+	}},
+	{"fig7b", func(e env) (*experiments.Table, error) {
+		rows, err := experiments.Overhead(e.overheadSizes, e.base, 0.2, e.workers)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Fig7("b", 0.2, rows), nil
+	}},
+	{"fig8", func(e env) (*experiments.Table, error) {
+		return rendered(experiments.Fig8)(experiments.Hops(e.paperSizes, e.base, e.workers))
+	}},
+	{"cqe", func(e env) (*experiments.Table, error) {
+		return rendered(experiments.FigCQE)(experiments.CQELoad(e.overheadSizes, e.base, e.workers))
+	}},
+	{"loadskew", func(e env) (*experiments.Table, error) {
+		rows, err := experiments.LoadSkew(e.paperSizes, e.base, experiments.DefaultSkew, e.workers)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.FigLoadSkew(experiments.DefaultSkew, rows), nil
+	}},
+	{"ablation-multicast", func(e env) (*experiments.Table, error) {
+		return experiments.AblationMulticast(e.base.Substrate, 256, []int{2, 4, 8, 16, 32, 64}), nil
+	}},
+	{"ablation-baselines", func(e env) (*experiments.Table, error) {
+		return rendered(experiments.AblationBaselines)(experiments.Baselines(e.baselineSizes, e.base, e.workers))
+	}},
+	{"ablation-batch", func(e env) (*experiments.Table, error) {
+		rows := experiments.BatchSweep([]int{1, 5, 10, 25, 50}, e.base.Radius, e.base.Seed)
+		return experiments.AblationBatch(rows, e.base.Radius), nil
+	}},
+	{"ablation-adaptive", func(e env) (*experiments.Table, error) {
+		cmp := experiments.AdaptiveComparison(32, e.base.Radius, e.base.Seed)
+		return experiments.AblationAdaptive(e.base.Substrate, cmp, e.base.Radius), nil
+	}},
+	{"ablation-hierarchy", func(e env) (*experiments.Table, error) {
+		radii := []float64{0.05, 0.1, 0.2, 0.4, 0.8}
+		return experiments.AblationHierarchy(e.base.Substrate, 512, experiments.HierarchyComparison(512, radii, 16)), nil
+	}},
+	{"ablation-resilience", func(e env) (*experiments.Table, error) {
+		return rendered(experiments.AblationResilience)(experiments.Resilience(100, []int{0, 5, 10, 20}, e.base, e.workers))
+	}},
+	{"ablation-treehops", func(e env) (*experiments.Table, error) {
+		return rendered(experiments.AblationTreeHops)(experiments.TreeHops(e.paperSizes, e.base, e.workers))
+	}},
+	{"ablation-bandwidth", func(e env) (*experiments.Table, error) {
+		rows, err := experiments.Bandwidth(100, []int{1, 5, 10, 25, 50}, e.base, e.workers)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.AblationBandwidth(100, rows), nil
+	}},
+	{"ablation-substrates", func(e env) (*experiments.Table, error) {
+		return rendered(experiments.AblationSubstrates)(experiments.Substrates([]int{100, 300}, e.base, e.workers))
+	}},
+	{"headtohead", func(e env) (*experiments.Table, error) {
+		return rendered(experiments.HeadToHeadTable)(experiments.HeadToHead(e.paperSizes, e.base.Seed, 0, e.workers))
+	}},
+}
+
+// rendered turns a sweep's (rows, error) result into a registry entry's:
+// fig draws the rows unless the sweep failed.
+func rendered[R any](fig func(R) *experiments.Table) func(R, error) (*experiments.Table, error) {
+	return func(rows R, err error) (*experiments.Table, error) {
+		if err != nil {
+			return nil, err
+		}
+		return fig(rows), nil
+	}
+}
+
+// names lists the registered experiments, in registry order.
+func names() string {
+	var out []string
+	for _, x := range registry {
+		out = append(out, x.name)
+	}
+	return strings.Join(out, ", ")
+}
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (see package doc)")
-		sizes    = flag.String("sizes", "", "comma-separated node counts (default: the paper's)")
-		seed     = flag.Int64("seed", 1, "root random seed")
-		warmup   = flag.Int("warmup", 40, "warm-up interval, seconds of virtual time")
-		measure  = flag.Int("measure", 100, "measurement interval, seconds of virtual time")
-		workers  = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		radius   = flag.Float64("radius", 0.1, "similarity query radius for load/hop experiments")
-		bench    = flag.String("bench", "", "time the figure pipelines and write JSON results to this path ('-' = stdout)")
-		parallel = flag.String("parallel", "", "measure data-plane parallelism (GOMAXPROCS 1 vs 4) and write JSON to this path ('-' = stdout)")
-		opsBench = flag.String("ops", "", "measure continuous-query operator throughput (sub-match, sketch-fold, loopback-sub) and write JSON to this path ('-' = stdout)")
-		skewOut  = flag.String("loadskew", "", "measure per-node load spread under Zipf query skew, machinery off vs on, and write JSON to this path ('-' = stdout)")
-		maxSkew  = flag.Float64("maxskew", 0, "with -loadskew: fail unless the machinery-on p99/mean load ratio at the smallest size is at most this")
-		subsOut  = flag.String("substrates", "", "run the chord-vs-koorde routing-machine head-to-head and write JSON to this path ('-' = stdout)")
-		maxHops  = flag.Float64("maxhopsratio", 0, "with -substrates: fail unless koorde's mean lookup hops are strictly below this ratio of chord's at the largest size")
-		maxMaint = flag.Float64("maxmaintratio", 0, "with -substrates: fail if koorde's maintenance bandwidth exceeds this ratio of chord's at the largest size")
-		maxTail  = flag.Float64("maxtailratio", 0, "with -substrates: fail if koorde's multicast last-delivery time exceeds this ratio of chord's at the largest size")
-		machine  = flag.String("substrate", "", "routing substrate for the figure experiments: a registered ring machine (chord, koorde) or pastry; empty = chord")
-		minSpeed = flag.Float64("minspeedup", 0, "with -parallel: fail unless match/loopback speed up by this factor (skipped when the host has fewer cores than procs)")
-		compare  = flag.String("compare", "", "compare two -bench or -parallel reports, given as OLD.json,NEW.json")
-		minRatio = flag.String("minratio", "", "with -compare on -parallel reports: fail unless new/old ops/sec meets the floors, e.g. store-match@4=1.3 (rows stand down on hosts with fewer cores than procs)")
+		exp     = flag.String("exp", "all", "experiment to run: "+names()+", or all")
+		sizes   = flag.String("sizes", "", "comma-separated node counts (default: the paper's)")
+		seed    = flag.Int64("seed", 1, "root random seed")
+		warmup  = flag.Int("warmup", 40, "warm-up interval, seconds of virtual time")
+		measure = flag.Int("measure", 100, "measurement interval, seconds of virtual time")
+		workers = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+		radius  = flag.Float64("radius", 0.1, "similarity query radius for load/hop experiments")
+		machine = flag.String("substrate", "", "routing substrate for the figure experiments: a registered ring machine (chord, koorde) or pastry; empty = chord")
 	)
 	flag.Parse()
-
-	if *compare != "" {
-		if err := runCompare(*compare, *minRatio); err != nil {
-			fmt.Fprintf(os.Stderr, "adidas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *parallel != "" {
-		if err := runParallelBench(*parallel, *seed, *minSpeed); err != nil {
-			fmt.Fprintf(os.Stderr, "adidas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *opsBench != "" {
-		if err := runOpsBench(*opsBench, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "adidas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *skewOut != "" {
-		if err := runSkewBench(*skewOut, *seed, *maxSkew, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "adidas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *subsOut != "" {
-		if err := runSubstratesBench(*subsOut, *seed, *maxHops, *maxMaint, *maxTail, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "adidas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *bench != "" {
-		if err := runBenchJSON(*bench, *seed, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "adidas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	base := workload.DefaultConfig(0)
 	base.Seed = *seed
@@ -120,160 +173,41 @@ func main() {
 	}
 }
 
+// run prints the table of experiment exp, or of every registered
+// experiment in registry order when exp is "all".
 func run(exp, sizesFlag string, base workload.Config, workers int) error {
-	paperSizes := experiments.PaperSizes
-	overheadSizes := experiments.OverheadSizes
+	e := env{
+		base:          base,
+		paperSizes:    experiments.PaperSizes,
+		overheadSizes: experiments.OverheadSizes,
+		workers:       workers,
+	}
 	if sizesFlag != "" {
 		parsed, err := parseSizes(sizesFlag)
 		if err != nil {
 			return err
 		}
-		paperSizes, overheadSizes = parsed, parsed
+		e.paperSizes, e.overheadSizes = parsed, parsed
+	}
+	e.baselineSizes = e.overheadSizes
+	if exp == "all" {
+		e.baselineSizes = []int{50, 100, 200}
 	}
 
-	show := func(t *experiments.Table) {
-		fmt.Println(t.String())
-	}
-
-	want := func(name string) bool { return exp == "all" || exp == name }
 	ran := false
-
-	if want("table1") {
-		show(experiments.TableI())
-		ran = true
-	}
-	if want("fig3b") {
-		show(experiments.Fig3b(128, 3, 20000, base.Seed))
-		ran = true
-	}
-	if want("fig6a") {
-		rows, err := experiments.LoadVsNodes(paperSizes, base, workers)
+	for _, x := range registry {
+		if exp != "all" && exp != x.name {
+			continue
+		}
+		t, err := x.run(e)
 		if err != nil {
 			return err
 		}
-		show(experiments.Fig6a(rows))
-		ran = true
-	}
-	if want("fig6b") {
-		d, err := experiments.LoadDistribution(200, 8, base)
-		if err != nil {
-			return err
-		}
-		show(experiments.Fig6b(d))
-		ran = true
-	}
-	if want("fig7a") {
-		rows, err := experiments.Overhead(overheadSizes, base, 0.1, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.Fig7("a", 0.1, rows))
-		ran = true
-	}
-	if want("fig7b") {
-		rows, err := experiments.Overhead(overheadSizes, base, 0.2, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.Fig7("b", 0.2, rows))
-		ran = true
-	}
-	if want("fig8") {
-		rows, err := experiments.Hops(paperSizes, base, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.Fig8(rows))
-		ran = true
-	}
-	if want("cqe") {
-		rows, err := experiments.CQELoad(overheadSizes, base, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.FigCQE(rows))
-		ran = true
-	}
-	if want("loadskew") {
-		rows, err := experiments.LoadSkew(paperSizes, base, experiments.DefaultSkew, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.FigLoadSkew(experiments.DefaultSkew, rows))
-		ran = true
-	}
-	if want("ablation-multicast") {
-		show(experiments.AblationMulticast(base.Substrate, 256, []int{2, 4, 8, 16, 32, 64}))
-		ran = true
-	}
-	if want("ablation-baselines") {
-		sizes := overheadSizes
-		if exp == "all" {
-			sizes = []int{50, 100, 200} // the strawmen get expensive fast
-		}
-		rows, err := experiments.Baselines(sizes, base, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.AblationBaselines(rows))
-		ran = true
-	}
-	if want("ablation-batch") {
-		show(experiments.AblationBatch(experiments.BatchSweep([]int{1, 5, 10, 25, 50}, base.Radius, base.Seed), base.Radius))
-		ran = true
-	}
-	if want("ablation-adaptive") {
-		show(experiments.AblationAdaptive(base.Substrate, experiments.AdaptiveComparison(32, base.Radius, base.Seed), base.Radius))
-		ran = true
-	}
-	if want("ablation-hierarchy") {
-		radii := []float64{0.05, 0.1, 0.2, 0.4, 0.8}
-		show(experiments.AblationHierarchy(base.Substrate, 512, experiments.HierarchyComparison(512, radii, 16)))
-		ran = true
-	}
-	if want("ablation-resilience") {
-		rows, err := experiments.Resilience(100, []int{0, 5, 10, 20}, base, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.AblationResilience(rows))
-		ran = true
-	}
-	if want("ablation-treehops") {
-		rows, err := experiments.TreeHops(paperSizes, base, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.AblationTreeHops(rows))
-		ran = true
-	}
-	if want("ablation-bandwidth") {
-		rows, err := experiments.Bandwidth(100, []int{1, 5, 10, 25, 50}, base, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.AblationBandwidth(100, rows))
-		ran = true
-	}
-	if want("ablation-substrates") {
-		sizes := []int{100, 300}
-		rows, err := experiments.Substrates(sizes, base, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.AblationSubstrates(rows))
-		ran = true
-	}
-	if want("headtohead") {
-		rows, err := experiments.HeadToHead(paperSizes, base.Seed, 0, workers)
-		if err != nil {
-			return err
-		}
-		show(experiments.HeadToHeadTable(rows))
+		fmt.Println(t.String())
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
+		return fmt.Errorf("unknown experiment %q (valid: %s, all)", exp, names())
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
+	"streamdex/internal/experiments"
 	"streamdex/internal/sim"
 	"streamdex/internal/workload"
 )
@@ -35,8 +38,52 @@ func fastBase() workload.Config {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("no-such-exp", "", fastBase(), 1); err == nil {
+	err := run("no-such-exp", "", fastBase(), 1)
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	for _, x := range registry {
+		if !strings.Contains(err.Error(), x.name) {
+			t.Errorf("error %q does not list %q", err, x.name)
+		}
+	}
+}
+
+func TestRunEveryRegisteredExperiment(t *testing.T) {
+	for _, x := range registry {
+		if err := run(x.name, "8,16", fastBase(), 2); err != nil {
+			t.Errorf("run(%s): %v", x.name, err)
+		}
+	}
+}
+
+// TestRunAllVisitsRegistryInOrder swaps every experiment body for a
+// recorder: -exp all must call each entry exactly once, in table order,
+// with the baselines sweep capped whatever -sizes says.
+func TestRunAllVisitsRegistryInOrder(t *testing.T) {
+	saved := registry
+	t.Cleanup(func() { registry = saved })
+	registry = append(registry[:0:0], saved...)
+	var want, visited []string
+	for i := range registry {
+		name := registry[i].name
+		want = append(want, name)
+		registry[i].run = func(e env) (*experiments.Table, error) {
+			visited = append(visited, name)
+			if !reflect.DeepEqual(e.paperSizes, []int{300, 500}) {
+				t.Errorf("%s: paperSizes = %v", name, e.paperSizes)
+			}
+			if !reflect.DeepEqual(e.baselineSizes, []int{50, 100, 200}) {
+				t.Errorf("%s: baselineSizes = %v, want the -exp all cap", name, e.baselineSizes)
+			}
+			return experiments.NewTable(name), nil
+		}
+	}
+	if err := run("all", "300,500", fastBase(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(visited, want) {
+		t.Fatalf("visited %v, want %v", visited, want)
 	}
 }
 

@@ -6,7 +6,7 @@ package protocol
 // Go values are what the state machine consumes (Machine.Handle) and what
 // travels on the wire: the simulator delivers them through the event
 // engine after the per-hop delay, the TCP transport frames them with the
-// packed codec v2 — no gob union, no transport-private control record.
+// packed codec v2 — no transport-private control record.
 //
 //   - FindReq/FindResp: locate the successor node of a key. The request is
 //     greedily routed along the ring; the node covering the key answers the
@@ -110,15 +110,6 @@ func init() {
 	wire.RegisterPackedPayload(tagNotify, Notify{}, codecFuncs{encNotify, decNotify})
 	wire.RegisterPackedPayload(tagPingReq, PingReq{}, codecFuncs{encPingReq, decPingReq})
 	wire.RegisterPackedPayload(tagPingResp, PingResp{}, codecFuncs{encPingResp, decPingResp})
-	// Gob registration keeps the types usable nested inside third-party
-	// payloads; framed control traffic always takes the packed path.
-	wire.RegisterPayload(FindReq{})
-	wire.RegisterPayload(FindResp{})
-	wire.RegisterPayload(StabReq{})
-	wire.RegisterPayload(StabResp{})
-	wire.RegisterPayload(Notify{})
-	wire.RegisterPayload(PingReq{})
-	wire.RegisterPayload(PingResp{})
 }
 
 // codecFuncs adapts an encode/decode function pair to wire.PayloadCodec.

@@ -1,8 +1,7 @@
 package core
 
 // Payload types of the continuous-query-engine kinds (KindSketch …
-// KindTopKReport). Registered with the wire codec like the original nine so
-// the live transport carries them; hand-packed codecs live in
+// KindTopKReport). Their hand-packed wire codecs are registered in
 // cqe_codec.go.
 
 import (
@@ -10,18 +9,7 @@ import (
 	"streamdex/internal/dht"
 	"streamdex/internal/query"
 	"streamdex/internal/summary"
-	"streamdex/internal/wire"
 )
-
-func init() {
-	wire.RegisterPayload(SketchUpdate{})
-	wire.RegisterPayload(SubMsg{})
-	wire.RegisterPayload(SubMatchMsg{})
-	wire.RegisterPayload(AggQueryMsg{})
-	wire.RegisterPayload(AggReplyMsg{})
-	wire.RegisterPayload(TopKMsg{})
-	wire.RegisterPayload(TopKReportMsg{})
-}
 
 // SketchUpdate is the payload of KindSketch: a stream's current windowed
 // sketch, replicated over the key range of the MBR it was published with so

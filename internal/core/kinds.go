@@ -72,23 +72,9 @@ const (
 	KindLoad
 )
 
-// Payload types carried by the messages above. Every type is registered
-// with the wire codec so the live transport can gob-encode them through
-// dht.Message's interface-typed Payload field.
-
-func init() {
-	wire.RegisterPayload(MBRUpdate{})
-	wire.RegisterPayload(SimQuery{})
-	wire.RegisterPayload(NotifyBatch{})
-	wire.RegisterPayload(ResponseMsg{})
-	wire.RegisterPayload(LocPut{})
-	wire.RegisterPayload(LocGet{})
-	wire.RegisterPayload(LocReply{})
-	wire.RegisterPayload(IPSub{})
-	wire.RegisterPayload(IPResp{})
-	wire.RegisterPayload(ReplicaMsg{})
-	wire.RegisterPayload(LoadMsg{})
-}
+// Payload types carried by the messages above. Each has a hand-packed
+// wire codec registered in codec.go, which is what lets it travel through
+// dht.Message's interface-typed Payload field and be sized by wire.Sizeof.
 
 // MBRUpdate is the payload of KindMBR.
 type MBRUpdate struct {

@@ -1,6 +1,7 @@
 package cqe
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -182,5 +183,26 @@ func TestTopKTableSumsLatestReports(t *testing.T) {
 	}
 	if all := tab2.Top(0); len(all) != 3 {
 		t.Fatalf("k=0 should return all: %v", all)
+	}
+}
+
+// BenchmarkSketchFold times the aggregate operator's numeric path: one
+// stream's windowed-sketch ingestion with a clone-and-fold every 1024
+// points, as the live node does once per push period. ns/op is per Add.
+func BenchmarkSketchFold(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	sk := summary.NewSketch(5*sim.Second, 4, 8, 0, 1000)
+	fold := NewSketchFold()
+	seq := uint64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := sim.Time(i) * sim.Millisecond
+		sk.Add(now, rng.Float64()*1000)
+		if i%1024 == 0 {
+			seq++
+			fold.Absorb("s", seq, sk.Clone())
+			fold.Count(now)
+		}
 	}
 }

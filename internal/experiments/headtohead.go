@@ -19,9 +19,9 @@ package experiments
 //
 // Koorde's claim (Kaashoek & Karger, IPTPS 2003) is fewer lookup hops per
 // routing-table entry: degree-16 de Bruijn links resolve in ~log16(N)
-// digit injections against Chord's ~½log2(N) finger strides. The BENCH_7
-// gate in scripts/ci.sh holds this experiment to that claim at the
-// paper's largest size.
+// digit injections against Chord's ~½log2(N) finger strides.
+// TestHeadToHeadGates holds this experiment to that claim at the paper's
+// largest size.
 
 import (
 	"fmt"

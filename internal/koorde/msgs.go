@@ -149,17 +149,6 @@ func init() {
 	wire.RegisterPackedPayload(tagKPingResp, KPingResp{}, codecFuncs{encKPingResp, decKPingResp})
 	wire.RegisterPackedPayload(tagKDListReq, KDListReq{}, codecFuncs{encKDListReq, decKDListReq})
 	wire.RegisterPackedPayload(tagKDListResp, KDListResp{}, codecFuncs{encKDListResp, decKDListResp})
-	// Gob registration keeps the types usable nested inside third-party
-	// payloads; framed control traffic always takes the packed path.
-	wire.RegisterPayload(KFindReq{})
-	wire.RegisterPayload(KFindResp{})
-	wire.RegisterPayload(KStabReq{})
-	wire.RegisterPayload(KStabResp{})
-	wire.RegisterPayload(KNotify{})
-	wire.RegisterPayload(KPingReq{})
-	wire.RegisterPayload(KPingResp{})
-	wire.RegisterPayload(KDListReq{})
-	wire.RegisterPayload(KDListResp{})
 }
 
 // codecFuncs adapts an encode/decode function pair to wire.PayloadCodec.

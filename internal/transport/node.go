@@ -10,9 +10,9 @@
 //
 //   - Message plane: length-prefixed frames (frame.go). Application and
 //     ring-maintenance messages alike travel as wire.Marshal bodies —
-//     fixed 45-byte envelope plus hand-packed payload (wire codec v2; gob
-//     only for unregistered types). Frames are built in pooled buffers, so
-//     the steady-state encode path is allocation-free.
+//     fixed 45-byte envelope plus hand-packed payload (wire codec v2).
+//     Frames are built in pooled buffers, so the steady-state encode path
+//     is allocation-free.
 //   - Connections: unidirectional. A node accepts inbound connections
 //     read-only and dials outbound connections write-only (peer.go), with
 //     bounded queues, write coalescing (one vectored write per burst) and

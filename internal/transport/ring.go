@@ -20,11 +20,10 @@ import (
 // adapts it to sockets: outgoing (dest, message) pairs are framed with
 // the packed wire codec v2 and handed to the peer writers; inbound
 // control frames are decoded off-loop and fed to Machine.Handle on the
-// loop. There is no transport-private control record (the old gob
-// `control` union is gone): what travels is the machine family's own
-// message types under overlay.KindRing, so the bytes charged to the
-// simulator's observer for a maintenance message are the bytes a live
-// socket carries.
+// loop. There is no transport-private control record: what travels is
+// the machine family's own message types under overlay.KindRing, so the
+// bytes charged to the simulator's observer for a maintenance message are
+// the bytes a live socket carries.
 
 // Create bootstraps a brand-new one-node ring.
 func (n *Node) Create() {

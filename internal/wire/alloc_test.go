@@ -56,9 +56,8 @@ func TestSizeofZeroAllocsPacked(t *testing.T) {
 // message, the payload's own objects (structs, strings, slices) and
 // nothing else — no decoder state, no reflection scratch, no intermediate
 // copies. The bounds are the per-kind object counts of the roundTripCases
-// fixtures; gob burns 10-40x more on the same frames (see
-// BenchmarkPayloadDecode*). A regression that adds codec overhead trips
-// the bound immediately.
+// fixtures. A regression that adds codec overhead trips the bound
+// immediately.
 func TestUnmarshalAllocBounds(t *testing.T) {
 	// Max allocations per decoded frame, by payload type name. Counts are
 	// for the specific fixture contents (e.g. the NotifyBatch fixture

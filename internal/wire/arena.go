@@ -2,14 +2,14 @@ package wire
 
 // Zero-copy-oriented decode arenas.
 //
-// PR 4's codec retired the per-frame gob tax but still allocated every
-// decoded object individually: a frame carrying an MBR costs a message, a
-// rectangle, two corner slices and a stream-id string — five heap objects
-// for ~100 bytes of payload, scattered across the heap exactly where the
-// candidate walk wants locality. An Arena lets a decode loop (one per
-// transport reader goroutine, i.e. keyed to the worker that owns the
-// connection) carve those objects out of large chunks instead: a handful
-// of bump-pointer increments per frame, one real allocation per chunk.
+// A plain Decode allocates every decoded object individually: a frame
+// carrying an MBR costs a message, a rectangle, two corner slices and a
+// stream-id string — five heap objects for ~100 bytes of payload,
+// scattered across the heap exactly where the candidate walk wants
+// locality. An Arena lets a decode loop (one per transport reader
+// goroutine, i.e. keyed to the worker that owns the connection) carve
+// those objects out of large chunks instead: a handful of bump-pointer
+// increments per frame, one real allocation per chunk.
 //
 // Arenas are deliberately *not* recycled. Decoded payloads outlive their
 // frame by design — MBRs sit in the store for a lifespan, queries for

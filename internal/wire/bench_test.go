@@ -1,26 +1,14 @@
-// Gob-vs-packed codec comparison. The gob baseline reproduces what PR 2
-// shipped on the live data path: a fresh gob.Encoder/Decoder per message,
-// which re-serializes the type descriptors with every payload — exactly
-// the tax codec v2 removes. Run with:
+// Codec micro-benchmarks over the round-trip fixtures. Run with:
 //
 //	go test -run '^$' -bench 'Marshal|Sizeof' -benchmem ./internal/wire
 package wire_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"streamdex/internal/dht"
 	"streamdex/internal/wire"
 )
-
-// gobBox mirrors the codec's internal payload box: gob encodes the dynamic
-// payload type through one interface-typed field. Used here to measure the
-// per-message cost of the retired gob payload path.
-type gobBox struct {
-	P any
-}
 
 // payloadCases returns the round-trip fixtures that actually carry a
 // payload (the envelope-only frame would dilute a payload-codec
@@ -54,24 +42,6 @@ func BenchmarkMarshalPacked(b *testing.B) {
 	}
 }
 
-// BenchmarkMarshalGob is the PR 2 baseline for the same messages: envelope
-// by hand, payload through a fresh gob encoder per message.
-func BenchmarkMarshalGob(b *testing.B) {
-	cases := payloadCases()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, msg := range cases {
-			var buf bytes.Buffer
-			buf.Grow(wire.HeaderBytes + 64)
-			buf.Write(make([]byte, wire.HeaderBytes)) // envelope stand-in
-			if err := gob.NewEncoder(&buf).Encode(gobBox{P: msg.Payload}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkUnmarshalPacked measures the full live decode path over packed
 // frames of every payload kind.
 func BenchmarkUnmarshalPacked(b *testing.B) {
@@ -88,29 +58,6 @@ func BenchmarkUnmarshalPacked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, frame := range frames {
 			if _, err := wire.Unmarshal(frame); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkUnmarshalGob is the PR 2 decode baseline: a fresh gob decoder
-// per message over gob-encoded payload bodies.
-func BenchmarkUnmarshalGob(b *testing.B) {
-	var bodies [][]byte
-	for _, msg := range payloadCases() {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(gobBox{P: msg.Payload}); err != nil {
-			b.Fatal(err)
-		}
-		bodies = append(bodies, buf.Bytes())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, body := range bodies {
-			var box gobBox
-			if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&box); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"streamdex/internal/dht"
@@ -12,13 +10,12 @@ import (
 
 // Real framing for the live transport. A marshalled message is the fixed
 // binary envelope (exactly HeaderBytes long, matching the size model the
-// simulator has always charged) followed by the payload encoding: for
-// types with a registered packed codec (packed.go) a one-byte codec tag
-// plus the hand-packed bytes, otherwise the gob encoding of the payload
-// box. The envelope is encoded by hand with encoding/binary so the
-// header cost on real sockets is byte-for-byte the HeaderBytes constant
-// the bandwidth evaluation assumes; registered payloads are likewise
-// byte-for-byte what Sizeof charges.
+// simulator has always charged) followed by the payload encoding: a
+// one-byte codec tag plus the bytes of the payload type's registered
+// packed codec (packed.go). The envelope is encoded by hand with
+// encoding/binary so the header cost on real sockets is byte-for-byte the
+// HeaderBytes constant the bandwidth evaluation assumes; payloads are
+// likewise byte-for-byte what Sizeof charges.
 //
 // Envelope layout (big-endian):
 //
@@ -28,9 +25,9 @@ import (
 //	  9   8 Src
 //	 17   8 RangeStart
 //	 25   8 RangeEnd
-//	 33   1 flags: bit0 HasRange, bit1 RangeTail, bit2 payload present,
-//	          bits 3-4 Mode, bits 5-6 Dir (0/1/2 for 0/+1/-1),
-//	          bit7 payload packed (codec v2) vs gob fallback
+//	 33   1 flags: bit0 HasRange, bit1 RangeTail, bit2 payload present
+//	          (codec tag + packed bytes follow), bits 3-4 Mode,
+//	          bits 5-6 Dir (0/1/2 for 0/+1/-1), bit7 reserved (must be 0)
 //	 34   3 Hops (unsigned, saturating)
 //	 37   8 SentAt
 //
@@ -50,7 +47,7 @@ const (
 	flagPayload   = 1 << 2
 	modeShift     = 3
 	dirShift      = 5
-	flagPacked    = 1 << 7
+	flagReserved  = 1 << 7
 	maxHops       = 1<<24 - 1
 )
 
@@ -59,22 +56,6 @@ const (
 // accounting on top of Sizeof — a payload-only measure — can add the
 // extension for split legs; receivers always charge len(frame) directly.
 const SplitExtBytes = 9
-
-// payloadBox wraps the message payload so gob encodes the dynamic type
-// through a single interface-typed field. Payload types without a packed
-// codec must be registered with RegisterPayload on both ends of a
-// connection.
-type payloadBox struct {
-	P any
-}
-
-// RegisterPayload records a concrete payload type with gob so it can travel
-// through Marshal/Unmarshal via the fallback path. It must be called
-// (typically from an init function of the package defining the payloads)
-// before any message carrying the type crosses a connection. Types with a
-// packed codec (RegisterPackedPayload) never hit this path, but staying
-// gob-registered too keeps them usable nested inside third-party payloads.
-func RegisterPayload(v any) { gob.Register(v) }
 
 // Marshal encodes a message into a freshly allocated self-contained frame
 // body. Steady-state senders should prefer AppendMarshal with a reused
@@ -85,14 +66,17 @@ func Marshal(msg *dht.Message) ([]byte, error) {
 
 // AppendMarshal appends the frame body for msg to dst and returns the
 // extended slice: the fixed envelope followed by the payload encoding (if
-// any). With a registered packed payload and sufficient capacity in dst it
-// performs no allocations, which is what lets the transport run its encode
-// path entirely out of a sync.Pool.
+// any). With sufficient capacity in dst it performs no allocations, which
+// is what lets the transport run its encode path entirely out of a
+// sync.Pool. A payload whose type has no registered packed codec is an
+// error.
 func AppendMarshal(dst []byte, msg *dht.Message) ([]byte, error) {
 	var entry packedEntry
-	packed := false
 	if msg.Payload != nil {
-		entry, packed = packedFor(msg.Payload)
+		var ok bool
+		if entry, ok = packedFor(msg.Payload); !ok {
+			return nil, fmt.Errorf("wire: no packed codec registered for payload %T", msg.Payload)
+		}
 	}
 
 	var env [HeaderBytes]byte
@@ -111,9 +95,6 @@ func AppendMarshal(dst []byte, msg *dht.Message) ([]byte, error) {
 	}
 	if msg.Payload != nil {
 		flags |= flagPayload
-	}
-	if packed {
-		flags |= flagPacked
 	}
 	if msg.Mode < 0 || msg.Mode > 2 {
 		// Mode 3 is the split-leg marker on the wire, never a real mode.
@@ -156,21 +137,13 @@ func AppendMarshal(dst []byte, msg *dht.Message) ([]byte, error) {
 		ext[8] = msg.SplitShift
 		dst = append(dst, ext[:]...)
 	}
-	switch {
-	case msg.Payload == nil:
-	case packed:
+	if msg.Payload != nil {
 		dst = append(dst, entry.tag)
 		var err error
 		dst, err = entry.codec.Append(dst, msg.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("wire: packing %T payload: %w", msg.Payload, err)
 		}
-	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(payloadBox{P: msg.Payload}); err != nil {
-			return nil, fmt.Errorf("wire: encoding %T payload: %w", msg.Payload, err)
-		}
-		dst = append(dst, buf.Bytes()...)
 	}
 	return dst, nil
 }
@@ -178,8 +151,8 @@ func AppendMarshal(dst []byte, msg *dht.Message) ([]byte, error) {
 // Unmarshal decodes a frame body produced by Marshal. The returned
 // message's Bytes field is set to the frame length, so observers on the
 // receiving side account exactly what crossed the socket. The frame slice
-// is not retained: packed codecs and gob both copy what they keep, so
-// callers may reuse the buffer for the next frame.
+// is not retained: codecs copy what they keep, so callers may reuse the
+// buffer for the next frame.
 func Unmarshal(frame []byte) (*dht.Message, error) {
 	return unmarshal(frame, nil)
 }
@@ -196,6 +169,10 @@ func unmarshal(frame []byte, a *Arena) (*dht.Message, error) {
 	if len(frame) < HeaderBytes {
 		return nil, fmt.Errorf("wire: frame of %d bytes, envelope needs %d", len(frame), HeaderBytes)
 	}
+	flags := frame[33]
+	if flags&flagReserved != 0 {
+		return nil, fmt.Errorf("wire: reserved envelope flag bit 7 set")
+	}
 	var msg *dht.Message
 	if a != nil {
 		msg = a.Msg()
@@ -210,7 +187,6 @@ func unmarshal(frame []byte, a *Arena) (*dht.Message, error) {
 		RangeEnd:   dht.Key(binary.BigEndian.Uint64(frame[25:33])),
 		Bytes:      len(frame),
 	}
-	flags := frame[33]
 	msg.HasRange = flags&flagHasRange != 0
 	msg.RangeTail = flags&flagRangeTail != 0
 	msg.Mode = dht.RangeMode(flags >> modeShift & 3)
@@ -247,40 +223,29 @@ func unmarshal(frame []byte, a *Arena) (*dht.Message, error) {
 		body = body[SplitExtBytes:]
 	}
 	if !hasPayload {
-		if flags&flagPacked != 0 {
-			return nil, fmt.Errorf("wire: packed flag on a payload-less frame")
-		}
 		if len(body) != 0 {
 			return nil, fmt.Errorf("wire: %d trailing bytes on a payload-less frame", len(body))
 		}
 		return msg, nil
 	}
-	if flags&flagPacked != 0 {
-		if len(body) < 1 {
-			return nil, fmt.Errorf("wire: packed payload without codec tag")
-		}
-		tag := body[0]
-		codec := packedByTag[tag]
-		if codec == nil {
-			return nil, fmt.Errorf("wire: no codec registered for packed payload tag %d", tag)
-		}
-		var p any
-		var err error
-		if ad, ok := codec.(ArenaDecoder); ok && a != nil {
-			p, err = ad.DecodeArena(body[1:], a)
-		} else {
-			p, err = codec.Decode(body[1:])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wire: decoding packed payload of kind %d: %w", msg.Kind, err)
-		}
-		msg.Payload = p
-		return msg, nil
+	if len(body) < 1 {
+		return nil, fmt.Errorf("wire: payload without codec tag")
 	}
-	var box payloadBox
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&box); err != nil {
+	tag := body[0]
+	codec := packedByTag[tag]
+	if codec == nil {
+		return nil, fmt.Errorf("wire: no codec registered for payload tag %d", tag)
+	}
+	var p any
+	var err error
+	if ad, ok := codec.(ArenaDecoder); ok && a != nil {
+		p, err = ad.DecodeArena(body[1:], a)
+	} else {
+		p, err = codec.Decode(body[1:])
+	}
+	if err != nil {
 		return nil, fmt.Errorf("wire: decoding payload of kind %d: %w", msg.Kind, err)
 	}
-	msg.Payload = box.P
+	msg.Payload = p
 	return msg, nil
 }

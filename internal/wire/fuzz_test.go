@@ -8,9 +8,8 @@ import (
 	"streamdex/internal/wire"
 )
 
-// FuzzUnmarshal hammers the frame decoder — envelope parsing, the packed
-// payload codecs behind every registered tag, and the gob fallback — with
-// mutated frames. The corpus seeds cover all nine middleware payload kinds
+// FuzzUnmarshal hammers the frame decoder — envelope parsing and the packed
+// payload codecs behind every registered tag — with mutated frames. The corpus seeds cover all nine middleware payload kinds
 // and the ring-control payloads of every routing machine — the seven Chord
 // types and the nine Koorde types, including all three de Bruijn walk
 // phases of a KFindReq and the chain-probe piggyback of KStabReq/Resp —
@@ -69,9 +68,10 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-unmarshal of re-marshalled frame failed: %v", err)
 		}
-		// The re-marshalled frame can differ from the original (a gob
-		// original shrinks once its payload type has a packed codec), but
-		// from the first re-marshal on, the frame is a fixed point.
+		// The re-marshalled frame can differ from the original (a codec
+		// may accept a non-canonical encoding, such as an overlong varint,
+		// and write it back canonically), but from the first re-marshal
+		// on, the frame is a fixed point.
 		final, err := wire.Marshal(msg2)
 		if err != nil {
 			t.Fatalf("marshal of re-decoded message failed: %v", err)

@@ -2,18 +2,17 @@ package wire
 
 // Wire codec v2: hand-packed payload encoding.
 //
-// PR 2's live transport paid gob tax on every frame — a fresh gob.Encoder
-// per message re-serializes and re-transmits the type descriptors with
-// every payload. Codec v2 replaces that with a registry of hand-packed
-// binary codecs, one per payload kind, mirroring the envelope style the
-// codec has always used for the 45-byte header: varints for counts, ids
-// and timestamps, fixed 8-byte big-endian words for floats, length-
-// prefixed strings. Gob remains only as a fallback for payload types
-// without a registered codec, so third-party payloads still travel.
+// Payloads travel through a registry of hand-packed binary codecs, one
+// per payload type, in the style of the 45-byte envelope: varints for
+// counts, ids and timestamps, fixed 8-byte big-endian words for floats,
+// length-prefixed strings. It is the only payload encoding: a type without
+// a registered codec cannot be marshalled or sized, and a frame whose tag
+// names no codec is a decode error.
 //
 // Registration is expected to happen in init functions (package core
-// registers all nine middleware payloads); lookups after init are
-// lock-free reads of maps that are never mutated again.
+// registers the middleware payloads, the ring machines their control
+// messages); lookups after init are lock-free reads of maps that are
+// never mutated again.
 
 import (
 	"encoding/binary"

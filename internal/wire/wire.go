@@ -7,31 +7,18 @@
 //
 // Sizes come from actually serializing the payload plus a fixed
 // per-message header covering the routing envelope (kind, key, source, hop
-// metadata). Payload types with a registered packed codec (wire codec v2,
-// packed.go) are charged their exact packed encoding — one tag byte plus
-// the hand-packed bytes, byte-for-byte what Marshal puts on a socket, so
-// live and simulated byte accounting can never drift. Types without a
-// codec fall back to gob, whose self-describing type preamble is amortized
-// away in a long-running connection, so the fallback reports only the
-// marginal value encoding.
+// metadata). Every payload type has a registered packed codec (packed.go)
+// and is charged its exact encoding — one tag byte plus the hand-packed
+// bytes, byte-for-byte what Marshal puts on a socket, so live and
+// simulated byte accounting can never drift.
 //
 // Sizeof sits on the simulator's message hot path (every middleware send
-// stamps its wire size). The packed path encodes into a pooled scratch
-// buffer, so steady state is allocation-free. The gob fallback keeps a
-// pool of warmed encoders per concrete payload type: the type-descriptor
-// preamble — by far the expensive part, a reflective walk of the type
-// graph — is paid once per type instead of once per message. gob emits
-// descriptors from the static type on an encoder's first Encode, so a
-// warmed encoder produces exactly the marginal value bytes on every later
-// Encode, and the reported sizes are identical to encoding two copies on a
-// fresh encoder and measuring the second.
+// stamps its wire size). It encodes into a pooled scratch buffer, so
+// steady state is allocation-free.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"reflect"
 	"sync"
 )
 
@@ -39,19 +26,6 @@ import (
 // kind (1) + destination key (8) + source (8) + range bounds (16) +
 // flags/hops (4) + virtual timestamp (8).
 const HeaderBytes = 45
-
-// sizer is one warmed encoder: its stream has already carried the type
-// descriptors of its dedicated payload type, so each further Encode
-// appends only the value bytes.
-type sizer struct {
-	buf bytes.Buffer
-	enc *gob.Encoder
-}
-
-// sizers maps reflect.Type to a *sync.Pool of warmed *sizer values. A pool
-// per type keeps concurrent simulations (the experiment harness fans whole
-// runs out across goroutines) from contending on one encoder.
-var sizers sync.Map
 
 // scratchBuf is a pooled encode buffer for packed size measurement.
 type scratchBuf struct {
@@ -61,52 +35,25 @@ type scratchBuf struct {
 var scratchPool = sync.Pool{New: func() any { return new(scratchBuf) }}
 
 // Sizeof returns the wire size in bytes of a message carrying the given
-// payload: HeaderBytes plus the payload encoding — exact (tag byte plus
-// packed bytes, equal to len(Marshal(msg))) for types with a registered
-// packed codec, the marginal gob encoding otherwise. A nil payload costs
-// only the header. Fallback payload types must be gob-encodable (exported
-// fields); errors indicate a programming mistake and panic.
+// payload: HeaderBytes plus the tag byte and packed bytes, equal to
+// len(Marshal(msg)). A nil payload costs only the header. A payload type
+// without a registered codec, or one its codec cannot encode, is a
+// programming mistake and panics naming the type.
 func Sizeof(payload any) int {
 	if payload == nil {
 		return HeaderBytes
 	}
-	if e, ok := packedFor(payload); ok {
-		sb := scratchPool.Get().(*scratchBuf)
-		b, err := e.codec.Append(sb.b[:0], payload)
-		if err != nil {
-			panic(fmt.Sprintf("wire: unpackable payload %T: %v", payload, err))
-		}
-		n := len(b)
-		sb.b = b
-		scratchPool.Put(sb)
-		return HeaderBytes + 1 + n // codec tag byte + packed payload
-	}
-	t := reflect.TypeOf(payload)
-	pv, ok := sizers.Load(t)
+	e, ok := packedFor(payload)
 	if !ok {
-		pv, _ = sizers.LoadOrStore(t, &sync.Pool{})
+		panic(fmt.Sprintf("wire: no packed codec registered for payload %T", payload))
 	}
-	pool := pv.(*sync.Pool)
-	s, _ := pool.Get().(*sizer)
-	if s == nil {
-		s = &sizer{}
-		s.enc = gob.NewEncoder(&s.buf)
-		// First encode of this type on this stream: swallow the
-		// descriptor preamble (plus one value copy) so later encodes
-		// measure only the marginal bytes.
-		if err := s.enc.Encode(payload); err != nil {
-			panic(fmt.Sprintf("wire: unencodable payload %T: %v", payload, err))
-		}
+	sb := scratchPool.Get().(*scratchBuf)
+	b, err := e.codec.Append(sb.b[:0], payload)
+	if err != nil {
+		panic(fmt.Sprintf("wire: unpackable payload %T: %v", payload, err))
 	}
-	s.buf.Reset()
-	if err := s.enc.Encode(payload); err != nil {
-		panic(fmt.Sprintf("wire: unencodable payload %T: %v", payload, err))
-	}
-	marginal := s.buf.Len()
-	pool.Put(s)
-	if marginal <= 0 {
-		// Defensive: gob always emits at least a length byte.
-		marginal = 1
-	}
-	return HeaderBytes + marginal
+	n := len(b)
+	sb.b = b
+	scratchPool.Put(sb)
+	return HeaderBytes + 1 + n // codec tag byte + packed payload
 }

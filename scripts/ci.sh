@@ -9,73 +9,48 @@
 #                        the serial-vs-parallel determinism regression)
 #   5. churn (race)    — scripted join/leave/crash convergence of the
 #                        shared Chord protocol machine
-#   6. fuzz smoke      — short native-fuzz run of the wire codec decoder
+#   6. loopback (race) — the 5-node TCP loopback cluster against the
+#                        simulator, and ring convergence
+#   7. fuzz smoke      — short native-fuzz run of the wire codec decoder
 #                        (seeded with every payload kind, middleware and
 #                        ring-control alike), catching panics / runaway
 #                        allocations on malformed frames
-#   7. parallel smoke  — GOMAXPROCS=4 loopback data-plane test under the
-#                        race detector, then the BENCH_3 parallelism rows
-#                        (the 2.5x speedup floor is enforced only on hosts
-#                        with >= 4 real cores)
-#   8. udp fuzz smoke  — short native-fuzz run of the UDP datagram decode
+#   8. parallel smoke  — GOMAXPROCS=4 loopback data-plane test under the
+#                        race detector
+#   9. udp fuzz smoke  — short native-fuzz run of the UDP datagram decode
 #                        path (type byte + wire body, no length prefix),
 #                        seeded with every packed payload kind
-#   9. operator parity (race) — the three continuous-query operators
+#  10. operator parity (race) — the three continuous-query operators
 #                        (subscription, aggregate, top-k) on a live 5-node
 #                        TCP cluster must reproduce the simulator's answer
 #                        sets, and a subscription must survive the scripted
 #                        crash of every covering node
-#  10. zero-alloc guards — the lock-free store walks (exclusive run,
+#  11. zero-alloc guards — the lock-free store walks (exclusive run,
 #                        un-swept and generational shards), a sweep with
 #                        nothing to seal or drop and the arena decode must
 #                        stay allocation-free on their steady state, and a
 #                        steady-state Put must amortize under 0.1 allocs
-#  10b. benchmark module — vet and race-test benchmark/ (its own module,
+#  12. benchmark module — vet and race-test benchmark/ (its own module,
 #                        compiled against this tree's exported surface),
 #                        then `bash benchmark/run.sh -smoke`: all four
 #                        workloads with 3 s windows, each checked against
 #                        its oracle — a lost detection, a wrong answer, a
 #                        dropped frame or a simulator count that moved
-#                        exits non-zero
-#  11. smoke bench     — BENCH_FAST=1 figure benchmarks, one iteration,
+#                        exits non-zero. benchmark/ is the only wall-clock
+#                        performance instrument; nothing here compares
+#                        timings
+#  13. smoke bench     — BENCH_FAST=1 figure benchmarks, one iteration,
 #                        so an accidental O(N) regression in the hot paths
 #                        shows up as a CI timeout / obvious slowdown
-#  12. bench compare   — fresh BENCH_FAST JSON report diffed against the
-#                        committed BENCH_2.json, benchstat-style
-#                        (informational), then the committed BENCH_3 vs
-#                        BENCH_4 parallelism reports with a 1.3x
-#                        store-match@4 floor, then the committed BENCH_4 vs
-#                        BENCH_5 operator reports with a 0.9x
-#                        store-match@4 floor proving the operator hooks
-#                        did not tax the similarity path (ratio floors are
-#                        enforced only on hosts with >= 4 real cores in
-#                        both reports)
-#  13. loadskew gate   — fast-tier Zipf(1.1) load-skew run; the balanced
-#                        arm (vnodes + covering-range replication) must
-#                        keep p99/mean per-node load under the bound AND
-#                        beat the unbalanced arm, then the committed
-#                        BENCH_5 vs BENCH_6 reports with a 0.9x
-#                        store-match@4 floor proving the load-balancing
-#                        hooks did not tax the un-replicated data plane
 #  14. koorde churn + parity (race) — deterministic scripted churn of the
 #                        Koorde de Bruijn machine (joins, leave, crashes,
 #                        late join must re-converge to the oracle), and
 #                        sim-vs-live parity of the same machine on a real
 #                        TCP cluster, both under the race detector
-#  15. substrates gate  — fast-tier chord-vs-koorde head-to-head; Koorde's
-#                        mean lookup hops must be strictly below Chord's
-#                        at the largest size (the de Bruijn claim), its
-#                        maintenance bandwidth within 1.3x Chord's
-#                        (piggybacked pointer repair), and its tree-
-#                        multicast last delivery within 1.15x Chord's
-#                        (de Bruijn-aware arc splits), then the committed
-#                        BENCH_6 vs BENCH_7 reports with a 0.9x
-#                        store-match@4 floor proving the substrate-
-#                        neutral control plane did not tax the data plane
-#  16. koorde fast path — the committed BENCH_7 vs BENCH_8 reports with a
-#                        0.9x store-match@4 floor proving the fast-path
-#                        work (repair piggyback, split multicast) did not
-#                        tax the data plane either
+#  15. ratio gates (race) — TestLoadSkewGate and TestHeadToHeadGates: the
+#                        seeded virtual-time load-skew bound and the three
+#                        chord-vs-koorde ratios, named here so they stay
+#                        covered even if step 4 ever runs in -short mode
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -123,9 +98,6 @@ echo "== parallel data plane: GOMAXPROCS=4 loopback smoke (race) =="
 # shard lock, pool hand-off and completion fence, just without speedup.
 GOMAXPROCS=4 go test -race -count=1 -run 'TestParallelLoopbackSmoke' ./internal/transport
 
-echo "== parallel data plane: BENCH_3 parallelism rows =="
-BENCH_FAST=1 go run ./cmd/adidas-bench -parallel "${TMPDIR:-/tmp}/streamdex-bench3.json" -minspeedup 2.5
-
 echo "== udp fuzz smoke (FuzzDatagramDecode, 10s) =="
 # Mutate raw datagrams (type byte + body) against the connectionless
 # decode path. Seeds cover every packed payload kind (CQE payloads
@@ -164,40 +136,6 @@ BENCH_FAST=1 go test -run '^$' \
     -benchmem -benchtime 1x .
 BENCH_FAST=1 go test -run '^$' -bench 'SlidingDFTPush' -benchtime 100x ./internal/dsp
 
-echo "== bench comparison vs committed BENCH_2.json =="
-# Old-vs-new deltas against the committed fast-mode report. Informational:
-# wall-clock noise on shared CI runners is not a merge gate.
-BENCH_FAST=1 go run ./cmd/adidas-bench -bench "${TMPDIR:-/tmp}/streamdex-bench-new.json"
-go run ./cmd/adidas-bench -compare "BENCH_2.json,${TMPDIR:-/tmp}/streamdex-bench-new.json"
-
-echo "== parallelism comparison: BENCH_3 vs BENCH_4 =="
-# The committed multi-core reports, diffed row by row. The 1.3x
-# store-match@4 floor only binds when both reports come from hosts with
-# >= 4 real cores; under-cored runs print the table and stand down.
-go run ./cmd/adidas-bench -compare "BENCH_3.json,BENCH_4.json" -minratio store-match@4=1.3
-
-echo "== operator bench comparison: BENCH_4 vs BENCH_5 =="
-# The committed data-plane report against the committed operator report.
-# The shared store rows prove the CQE hooks (per-MBR predicate fan-out,
-# sketch publication) did not tax the similarity path: a 0.9x floor on
-# store-match@4 allows noise but fails a real regression. The floor only
-# binds when both reports come from hosts with >= 4 real cores.
-go run ./cmd/adidas-bench -compare "BENCH_4.json,BENCH_5.json" -minratio store-match@4=0.9
-
-echo "== load-skew gate: fast-tier Zipf(1.1) p99/mean bound =="
-# Deterministic (seeded virtual-time) 50-node Zipf(1.1) run of both arms.
-# -maxskew fails CI if the balanced arm (vnodes=4, replicas=3) exceeds
-# 2x p99/mean per-node load or fails to improve on the unbalanced arm.
-BENCH_FAST=1 go run ./cmd/adidas-bench -loadskew "${TMPDIR:-/tmp}/streamdex-bench6.json" -maxskew 2
-
-echo "== load-balancing bench comparison: BENCH_5 vs BENCH_6 =="
-# The committed operator report against the committed load-skew report.
-# The shared store rows prove the default-off balancing hooks (replica
-# tail, load gossip, admission check) did not tax the un-replicated
-# similarity path. The floor only binds when both reports come from
-# hosts with >= 4 real cores.
-go run ./cmd/adidas-bench -compare "BENCH_5.json,BENCH_6.json" -minratio store-match@4=0.9
-
 echo "== koorde churn + sim-vs-live parity (race) =="
 # The second routing machine through the same wringer as Chord:
 # deterministic scripted churn (joins, a graceful leave, adjacent
@@ -207,31 +145,14 @@ echo "== koorde churn + sim-vs-live parity (race) =="
 go test -race -count=1 -run 'TestKoordeChurnReconverges' ./internal/koorde
 go test -race -count=1 -run 'TestKoordeParitySimVsLive' ./internal/transport
 
-echo "== substrates gate: fast-tier chord-vs-koorde hops/maint/tail =="
-# Deterministic (seeded virtual-time) head-to-head of the two registered
-# ring machines, churn phase included. Three hard gates at the largest
-# size: -maxhopsratio 1.0 (Koorde's mean lookup hops strictly below
-# Chord's — the de Bruijn fewer-hops-per-table-entry claim),
-# -maxmaintratio 1.3 (piggybacked pointer repair keeps Koorde's
-# maintenance bandwidth within 1.3x Chord's), and -maxtailratio 1.15
-# (de Bruijn-aware arc splits keep the tree-multicast last delivery
-# within 1.15x Chord's).
-BENCH_FAST=1 go run ./cmd/adidas-bench -substrates "${TMPDIR:-/tmp}/streamdex-bench8.json" \
-    -maxhopsratio 1.0 -maxmaintratio 1.3 -maxtailratio 1.15
-
-echo "== substrates bench comparison: BENCH_6 vs BENCH_7 =="
-# The committed load-skew report against the committed substrates report.
-# The shared store rows prove the overlay indirection (machine registry,
-# interface dispatch on the control plane) did not tax the similarity
-# path. The floor only binds when both reports come from hosts with
-# >= 4 real cores.
-go run ./cmd/adidas-bench -compare "BENCH_6.json,BENCH_7.json" -minratio store-match@4=0.9
-
-echo "== koorde fast-path bench comparison: BENCH_7 vs BENCH_8 =="
-# The committed substrates report against the committed fast-path report.
-# The shared store rows prove the repair piggyback and split-multicast
-# work did not tax the similarity path. The floor only binds when both
-# reports come from hosts with >= 4 real cores.
-go run ./cmd/adidas-bench -compare "BENCH_7.json,BENCH_8.json" -minratio store-match@4=0.9
+echo "== simulator ratio gates: load skew, chord-vs-koorde (race) =="
+# Seeded virtual-time facts, so reproducible on any host. At 50 nodes under
+# Zipf(1.1) the balanced arm (vnodes=4, replicas=3) must keep p99/mean
+# per-node load <= 2.0 and not above the plain ring's; at 500 nodes
+# Koorde's mean lookup hops must be strictly below Chord's (the de Bruijn
+# claim), its maintenance bandwidth within 1.3x (piggybacked pointer
+# repair) and its tree-multicast last delivery within 1.15x (de
+# Bruijn-aware arc splits).
+go test -race -count=1 -run 'TestLoadSkewGate|TestHeadToHeadGates' ./internal/experiments
 
 echo "CI OK"
