@@ -57,6 +57,28 @@ func TestRunEveryRegisteredExperiment(t *testing.T) {
 	}
 }
 
+// TestTablesStableAcrossRuns: a table is a function of its config. Each
+// registered experiment, run twice in one process, must render the same
+// text — a cell that folds a map in iteration order, or reads any other
+// per-run accident, flickers here.
+func TestTablesStableAcrossRuns(t *testing.T) {
+	sizes := []int{8, 16}
+	e := env{base: fastBase(), paperSizes: sizes, overheadSizes: sizes, baselineSizes: sizes, workers: 2}
+	for _, x := range registry {
+		var out [2]string
+		for i := range out {
+			tab, err := x.run(e)
+			if err != nil {
+				t.Fatalf("%s: %v", x.name, err)
+			}
+			out[i] = tab.String()
+		}
+		if out[0] != out[1] {
+			t.Errorf("%s rendered two different tables from one config:\n%s\n%s", x.name, out[0], out[1])
+		}
+	}
+}
+
 // TestRunAllVisitsRegistryInOrder swaps every experiment body for a
 // recorder: -exp all must call each entry exactly once, in table order,
 // with the baselines sweep capped whatever -sizes says.

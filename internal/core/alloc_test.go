@@ -8,11 +8,11 @@ import (
 )
 
 // TestAppendCandidatesZeroAllocs guards the query hot path: with a reused
-// destination slice, a candidate walk over the sorted store — binary-search
-// window, expiry filtering, exact MinDist — must not allocate. DataCenters
+// destination slice, a candidate walk over a single-shard store — interval
+// pre-test, expiry filtering, exact MinDist — must not allocate. DataCenters
 // keep a per-node scratch slice for exactly this reason.
 func TestAppendCandidatesZeroAllocs(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1)
 	for i := 0; i < 256; i++ {
 		l1 := float64(i)/256 - 0.5
 		s.Put(mbrAt("s", uint64(i), summary.Feature{l1, 0}, summary.Feature{l1 + 0.01, 0.1}, 0))

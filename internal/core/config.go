@@ -66,11 +66,10 @@ type Config struct {
 	Seed int64
 
 	// StoreShards is the number of independently mutated L₁-band shards the
-	// per-node MBR store is split into on substrates with a concurrent data
-	// plane; live nodes set it to a multiple of the core count so workers
-	// index and match in parallel. The simulator ignores it: its
-	// single-threaded event loop uses the exclusive in-place store, which
-	// reproduces the historical walk order (and golden figure rows) exactly.
+	// per-node MBR store is split into, on every substrate (values < 1 mean
+	// one). Live nodes set it to a multiple of the core count so workers
+	// index and match in parallel; the simulator's single goroutine gains
+	// nothing from more than one and leaves it 0.
 	StoreShards int
 
 	// Sketches enables the continuous-query engine's windowed aggregates:

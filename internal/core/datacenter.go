@@ -130,20 +130,13 @@ type localStream struct {
 }
 
 func newDataCenter(id dht.Key, mw *Middleware) *DataCenter {
-	// A substrate without a data-plane pool (the simulator) runs every
-	// store access on one goroutine, so it gets the exclusive in-place
-	// store and its historical walk order. Substrates that can run data
-	// frames concurrently (the live transport, even when configured to
-	// serialize) get the generational store and its lock-free walks.
-	store := NewStore()
-	if _, ok := mw.net.(dht.PoolProvider); ok {
-		store = NewShardedStore(mw.cfg.StoreShards)
-	}
+	// Every substrate gets the same store: the simulator's one goroutine
+	// and the live transport's data-plane workers run identical code.
 	dc := &DataCenter{
 		id:        id,
 		mw:        mw,
 		streams:   make(map[string]*localStream),
-		store:     store,
+		store:     NewShardedStore(mw.cfg.StoreShards),
 		subs:      make(map[query.ID]*simSub),
 		aggs:      make(map[query.ID]*aggregator),
 		ipSubs:    make(map[query.ID]*ipSubState),

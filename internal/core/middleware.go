@@ -265,13 +265,13 @@ type resultTable struct {
 	// seen deduplicates per (stream, seq): several nodes may report the
 	// same MBR. It is released one push period after the query's expiry
 	// (retireAt); a delivery arriving later still is counted late.
-	seen     map[string]map[uint64]bool
+	seen     seqSet
 	retireAt sim.Time
 }
 
 // openResults starts the result table of a query expiring at expiry.
 func (mw *Middleware) openResults(expiry sim.Time) *resultTable {
-	r := &resultTable{seen: make(map[string]map[uint64]bool), retireAt: expiry + mw.cfg.PushPeriod}
+	r := &resultTable{seen: seqSet{}, retireAt: expiry + mw.cfg.PushPeriod}
 	mw.open = append(mw.open, r)
 	return r
 }
@@ -306,15 +306,9 @@ func (mw *Middleware) absorb(r *resultTable, matches []query.Match) []query.Matc
 	}
 	var fresh []query.Match
 	for _, m := range matches {
-		seqs := r.seen[m.StreamID]
-		if seqs == nil {
-			seqs = make(map[uint64]bool)
-			r.seen[m.StreamID] = seqs
-		}
-		if seqs[m.Seq] {
+		if !r.seen.add(m.StreamID, m.Seq) {
 			continue
 		}
-		seqs[m.Seq] = true
 		if fresh == nil {
 			fresh = make([]query.Match, 0, len(matches))
 		}

@@ -7,6 +7,7 @@ package core
 import (
 	"streamdex/internal/cqe"
 	"streamdex/internal/dht"
+	"streamdex/internal/query"
 	"streamdex/internal/sim"
 	"streamdex/internal/summary"
 )
@@ -64,3 +65,8 @@ func (o *ipOp) Tick(h cqe.Host, now sim.Time) {
 // OnRingChange implements cqe.Operator. Subscriptions live at stream
 // sources, not at ring positions — churn does not move them.
 func (o *ipOp) OnRingChange(h cqe.Host) {}
+
+// ipSubState is one inner-product subscription at the stream's source.
+type ipSubState struct {
+	q *query.InnerProduct
+}

@@ -32,28 +32,21 @@ type standingSub struct {
 	// seen deduplicates detections per (stream, seq): the walk at
 	// registration time and the per-MBR path may see the same summary, and
 	// range replication re-stores summaries.
-	seen    map[string]map[uint64]bool
+	seen    seqSet
 	pending []query.Match
 }
 
 func newStandingSub(p *query.Predicate) *standingSub {
-	return &standingSub{p: p, seen: make(map[string]map[uint64]bool)}
+	return &standingSub{p: p, seen: seqSet{}}
 }
 
 // add records a detection unless already reported.
 func (s *standingSub) add(m query.Match) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seqs := s.seen[m.StreamID]
-	if seqs == nil {
-		seqs = make(map[uint64]bool)
-		s.seen[m.StreamID] = seqs
+	if s.seen.add(m.StreamID, m.Seq) {
+		s.pending = append(s.pending, m)
 	}
-	if seqs[m.Seq] {
-		return
-	}
-	seqs[m.Seq] = true
-	s.pending = append(s.pending, m)
 }
 
 func (s *standingSub) addAll(ms []query.Match) {

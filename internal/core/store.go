@@ -17,9 +17,10 @@ import (
 // Store is the per-node index partition: the MBR summaries this data center
 // covers by content. Entries are soft state with a lifespan (BSPAN) "in
 // order to prevent cluttering of storage space and to eliminate query
-// responses that contain stale information" (§V).
+// responses that contain stale information" (§V). Every data center, on
+// the simulator and on a live node, runs this one store.
 //
-// The store is sharded by an L₁ band partition so the live node's data
+// The store is sharded by an L₁ band partition so a node's data
 // plane can run it from many goroutines at once: entry shard =
 // floor(L₁/bandWidth) mod S. A similarity query (Q, r) can only match MBRs
 // whose first-coefficient interval [L₁, H₁] overlaps [q₁−r, q₁+r] — the
@@ -31,11 +32,11 @@ import (
 // an entry actually matches. A walk binary-searches a run for the
 // overlapping band and scans it branch-light over the flat arrays.
 //
-// A live shard (NewShardedStore) is generational. Because every MBR carries
+// A shard is generational. Because every MBR carries
 // the same lifespan, entries leave a node in almost the order they arrived,
 // so a shard is a short list of generations ordered by arrival: a handful
 // of sealed ones, each an immutable sorted run with its own width bound,
-// and one active generation that Put appends to in place — the slot is
+// and one active generation that Put appends to — the slot is
 // written past the published length and then published by an atomic store
 // of that length; when a chunk of slots fills, a fresh chunk is linked
 // behind it, nothing is copied. Once the active generation holds
@@ -56,23 +57,18 @@ import (
 // sealed run and the published prefix of a chunk are never mutated, so a
 // reader holding a stale view keeps seeing exactly the state it loaded.
 //
-// The simulator's store (NewStore) instead runs in exclusive mode: its
-// event loop is single-threaded, so immutability buys nothing and sealing
-// would change the walk order. An exclusive store keeps one sorted run and
-// mutates it in place — the historical sorted insert-after-equals memmove
-// over the same SoA arrays — which keeps the walk order (and golden figure
-// rows) bitwise identical to the historical store at the historical cost.
+// What callers rely on is the set a walk returns — every matching entry
+// live at the walk's now, each once — never its order: results come
+// generation by generation, and which generation holds an entry depends on
+// arrival order and seal points.
 //
-// Concurrency contract: on stores from NewShardedStore, Put, Sweep and the
-// walks may be called from any goroutine; walks acquire no locks and
-// perform no allocations (beyond growing the caller's destination slice).
-// Stores from NewStore are confined to one goroutine at a time by contract.
+// Concurrency contract: Put, Sweep and the walks may be called from any
+// goroutine; walks acquire no locks and perform no allocations (beyond
+// growing the caller's destination slice). The simulator's single
+// goroutine runs the same mutex and atomics, uncontended.
 type Store struct {
 	shards    []storeShard
 	bandWidth float64
-	// exclusive marks a single-goroutine store (NewStore): Put mutates the
-	// one sorted run in place instead of appending to a generation.
-	exclusive bool
 
 	// Cumulative data-plane counters (atomic; surfaced via the node's
 	// STATS output and asserted by the stale-width regression test).
@@ -91,7 +87,7 @@ type storeShard struct {
 	mu   sync.Mutex
 	view atomic.Pointer[shardView]
 
-	// Writer state (live stores), guarded by mu.
+	// Writer state, guarded by mu.
 	tail   *genChunk // chunk the next Put appends to
 	n      int       // entries in the active generation
 	finite int       // those of them that expire
@@ -102,18 +98,15 @@ type storeShard struct {
 // shardView is one published state of a shard: immutable, replaced whole
 // when a generation is sealed or dropped.
 type shardView struct {
-	// runs are the sealed generations, oldest first. An exclusive store
-	// holds exactly one, which it mutates in place.
+	// runs are the sealed generations, oldest first.
 	runs []*shardSnap
-	// active is the first chunk of the active generation; nil on exclusive
-	// stores.
+	// active is the first chunk of the active generation.
 	active *genChunk
 	epoch  uint64 // bumped on every publication of this shard's view
 }
 
 // shardSnap is one run of entries sorted ascending by lo1: a sealed
-// generation of a live shard, frozen when it was built and walked without
-// synchronization, or the single in-place index of an exclusive store.
+// generation, frozen when it was built and walked without synchronization.
 type shardSnap struct {
 	lo1, hi1 []float64
 	exp      []sim.Time
@@ -122,8 +115,7 @@ type shardSnap struct {
 
 	dims     int      // uniform dimensionality; 0 = mixed, -1 = empty
 	maxWidth float64  // upper bound on Hi[0]-Lo[0] within this run
-	newest   sim.Time // sealed generation: its newest expiry; dropped once passed
-	epoch    uint64   // exclusive store: bumped on every in-place mutation
+	newest   sim.Time // its newest expiry; dropped once passed
 }
 
 // genSlot is one entry of the active generation. The first-coefficient
@@ -163,7 +155,7 @@ type SnapStats struct {
 // radius-sized query band inside a handful of them.
 const defaultBandWidth = 0.25
 
-// storeGenerations is G: a live shard seals its active generation once it
+// storeGenerations is G: a shard seals its active generation once it
 // holds 1/G of what the shard's sealed generations hold. At a steady
 // arrival rate the sealed generations are what arrived over one lifespan,
 // so a generation spans 1/G of the lifespan, a shard holds about G sealed
@@ -201,21 +193,8 @@ func (c *genChunk) append(sl genSlot, held int) *genChunk {
 	return c
 }
 
-// NewStore returns an empty single-shard store — the simulator's
-// configuration, behaviorally identical to the historical unsharded store:
-// exclusive mode inserts in place into one sorted run, so the walk order
-// is exactly the historical sorted insertion order. The caller must
-// confine the store to one goroutine at a time; concurrent data planes
-// use NewShardedStore.
-func NewStore() *Store {
-	s := &Store{shards: make([]storeShard, 1), bandWidth: defaultBandWidth, exclusive: true}
-	s.shards[0].view.Store(&shardView{runs: []*shardSnap{{dims: -1}}})
-	return s
-}
-
 // NewShardedStore returns an empty store with the given number of L₁-band
-// shards (values < 1 are treated as 1), configured for the live data
-// plane: each shard is a list of generations.
+// shards (values < 1 are treated as 1), each a list of generations.
 func NewShardedStore(shards int) *Store {
 	if shards < 1 {
 		shards = 1
@@ -268,7 +247,7 @@ func (s *Store) Generations() int {
 	for i := range s.shards {
 		v := s.shards[i].view.Load()
 		n += len(v.runs)
-		if v.active != nil && v.active.n.Load() > 0 {
+		if v.active.n.Load() > 0 {
 			n++
 		}
 	}
@@ -316,97 +295,20 @@ func appendCorners(dst []float64, b *summary.MBR) []float64 {
 func (s *Store) Put(b *summary.MBR) {
 	sh := &s.shards[s.shardOf(b.Lo[0])]
 	sh.mu.Lock()
-	if s.exclusive {
-		cur := sh.view.Load().runs[0]
-		s.insertInPlace(cur, b, foldDims(cur.dims, len(b.Lo)))
-	} else {
-		sh.tail = sh.tail.append(genSlot{lo1: b.Lo[0], hi1: b.Hi[0], exp: b.Expiry, ref: b}, sh.n)
-		sh.n++
-		if b.Expiry != 0 {
-			sh.finite++
-			sh.newest = max(sh.newest, b.Expiry)
-		}
-		s.epochs.Add(1)
-		if sh.finite >= max(minChunk, sh.sealed/storeGenerations) {
-			// Put has no clock: at time 0 nothing is expired, so this
-			// drops and filters nothing.
-			s.republish(sh, 0, true)
-		}
+	sh.tail = sh.tail.append(genSlot{lo1: b.Lo[0], hi1: b.Hi[0], exp: b.Expiry, ref: b}, sh.n)
+	sh.n++
+	if b.Expiry != 0 {
+		sh.finite++
+		sh.newest = max(sh.newest, b.Expiry)
+	}
+	s.epochs.Add(1)
+	if sh.finite >= max(minChunk, sh.sealed/storeGenerations) {
+		// Put has no clock: at time 0 nothing is expired, so this
+		// drops and filters nothing.
+		s.republish(sh, 0, true)
 	}
 	sh.mu.Unlock()
 	s.puts.Add(1)
-}
-
-// insertAt opens a gap at index i and writes v, growing s by one.
-func insertAt[T any](s []T, i int, v T) []T {
-	var zero T
-	s = append(s, zero)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// insertInPlace mutates an exclusive store's snapshot directly: the
-// historical sorted insert-after-equals memmove, applied to the SoA
-// arrays. No copy-on-write, no tail — the snapshot pointer never changes,
-// only its epoch. Reachable only from NewStore stores, whose contract
-// confines all access to one goroutine at a time.
-func (s *Store) insertInPlace(cur *shardSnap, b *summary.MBR, dims int) {
-	n := len(cur.lo1)
-	key := b.Lo[0]
-	i := sort.Search(n, func(j int) bool { return cur.lo1[j] > key })
-	cur.lo1 = insertAt(cur.lo1, i, key)
-	cur.hi1 = insertAt(cur.hi1, i, b.Hi[0])
-	cur.exp = insertAt(cur.exp, i, b.Expiry)
-	cur.refs = insertAt(cur.refs, i, b)
-	if dims > 0 && (n == 0 || cur.crd != nil) {
-		k := dims
-		// Grow by one corner block, shift the suffix, write b's corners.
-		cur.crd = append(cur.crd, b.Lo...)
-		cur.crd = append(cur.crd, b.Hi...)
-		copy(cur.crd[(i+1)*2*k:], cur.crd[i*2*k:n*2*k])
-		copy(cur.crd[i*2*k:], b.Lo)
-		copy(cur.crd[i*2*k+k:], b.Hi)
-	} else {
-		cur.crd = nil // mixed dims: walks fall back to the entry pointers
-	}
-	cur.dims = dims
-	if w := b.Hi[0] - b.Lo[0]; w > cur.maxWidth {
-		cur.maxWidth = w
-	}
-	cur.epoch++
-	s.epochs.Add(1)
-}
-
-// filterInPlace compacts an exclusive snapshot's arrays, dropping entries
-// for which drop returns true, and reports how many were removed. The
-// caller owns dims/maxWidth/epoch bookkeeping.
-func filterInPlace(cur *shardSnap, drop func(*summary.MBR) bool) int {
-	n := len(cur.refs)
-	k := 0 // corner stride; 0 when there is no flat corner array
-	if cur.crd != nil && cur.dims > 0 {
-		k = 2 * cur.dims
-	}
-	w := 0
-	for i := 0; i < n; i++ {
-		b := cur.refs[i]
-		if drop(b) {
-			continue
-		}
-		if w != i {
-			cur.lo1[w], cur.hi1[w], cur.exp[w], cur.refs[w] = cur.lo1[i], cur.hi1[i], cur.exp[i], b
-			if k > 0 {
-				copy(cur.crd[w*k:(w+1)*k], cur.crd[i*k:(i+1)*k])
-			}
-		}
-		w++
-	}
-	clear(cur.refs[w:n]) // release dropped entries to the GC
-	cur.lo1, cur.hi1, cur.exp, cur.refs = cur.lo1[:w], cur.hi1[:w], cur.exp[:w], cur.refs[:w]
-	if k > 0 {
-		cur.crd = cur.crd[:w*k]
-	}
-	return n - w
 }
 
 // buildRun lays lo1-sorted slots out as an immutable sorted run.
@@ -434,50 +336,22 @@ func buildRun(sorted []genSlot) *shardSnap {
 	return run
 }
 
-// Sweep drops expired MBRs and returns how many entries were removed. On a
-// live store that is pointer work: each shard unlinks the sealed
-// generations whose newest expiry has passed (and retires an active
-// generation in which everything has expired); walks in flight keep
-// reading the view they loaded. An exclusive store filters its run in
-// place and re-tightens its width bound.
+// Sweep drops expired MBRs and returns how many entries were removed. It
+// is pointer work: each shard unlinks the sealed generations whose newest
+// expiry has passed (and retires an active generation in which everything
+// has expired); walks in flight keep reading the view they loaded.
 func (s *Store) Sweep(now sim.Time) int {
 	removed := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if s.exclusive {
-			removed += s.sweepInPlace(sh.view.Load().runs[0], now)
-		} else {
-			removed += s.sweepShard(sh, now)
-		}
+		removed += s.sweepShard(sh, now)
 		sh.mu.Unlock()
 	}
 	return removed
 }
 
-// sweepInPlace filters an exclusive store's run, recomputing its dims and
-// width bound.
-func (s *Store) sweepInPlace(cur *shardSnap, now sim.Time) int {
-	dims := -1
-	width := 0.0
-	removed := filterInPlace(cur, func(b *summary.MBR) bool {
-		if b.Expired(now) {
-			return true
-		}
-		dims = foldDims(dims, len(b.Lo))
-		if w := b.Hi[0] - b.Lo[0]; w > width {
-			width = w
-		}
-		return false
-	})
-	cur.dims = dims
-	cur.maxWidth = width
-	cur.epoch++
-	s.epochs.Add(1)
-	return removed
-}
-
-// sweepShard is Sweep on one live shard, under its writer mutex. With
+// sweepShard is Sweep on one shard, under its writer mutex. With
 // nothing to drop it publishes nothing and allocates nothing.
 func (s *Store) sweepShard(sh *storeShard, now sim.Time) int {
 	// An active generation whose newest entry has expired holds nothing
@@ -568,21 +442,14 @@ func (s *Store) Candidates(q summary.Feature, radius float64, now sim.Time, node
 // each shard's current view with one atomic pointer read, binary-searches
 // the sealed runs and scans the active generation flat, so any number of
 // walks proceed in parallel with each other and with writers. Results come
-// generation by generation, each sealed one in lo1 order. An exclusive
-// store additionally compacts a band in which the walk saw expired entries,
-// so a long simulation does not rescan dead entries until the next Sweep.
+// generation by generation, each sealed one in lo1 order.
 func (s *Store) AppendCandidates(dst []query.Match, q summary.Feature, radius float64, now sim.Time, node dht.Key) []query.Match {
 	q1 := q[0]
 	visited := int64(0)
 	for i := range s.shards {
-		sh := &s.shards[i]
-		v := sh.view.Load()
+		v := s.shards[i].view.Load()
 		for _, p := range v.runs {
-			var expired bool
-			dst, visited, expired = p.appendCandidates(dst, visited, q, q1, radius, now, node)
-			if expired && s.exclusive {
-				s.compactBand(sh, q1, radius, now)
-			}
+			dst, visited = p.appendCandidates(dst, visited, q, q1, radius, now, node)
 		}
 		dst, visited = v.active.appendCandidates(dst, visited, q, radius, now, node)
 	}
@@ -611,12 +478,7 @@ func minDistFlat(crd []float64, q summary.Feature, k int) float64 {
 }
 
 // appendCandidates walks one sorted run's overlapping band without locks.
-// It reports whether any expired entry was seen, so an exclusive store can
-// compact.
-func (p *shardSnap) appendCandidates(dst []query.Match, visited int64, q summary.Feature, q1, radius float64, now sim.Time, node dht.Key) ([]query.Match, int64, bool) {
-	if len(p.lo1) == 0 {
-		return dst, visited, false
-	}
+func (p *shardSnap) appendCandidates(dst []query.Match, visited int64, q summary.Feature, q1, radius float64, now sim.Time, node dht.Key) ([]query.Match, int64) {
 	// Only entries with Lo[0] in [q1-r-maxWidth, q1+r] can have a
 	// first-coefficient interval overlapping [q1-r, q1+r].
 	lo := q1 - radius - p.maxWidth
@@ -624,7 +486,6 @@ func (p *shardSnap) appendCandidates(dst []query.Match, visited int64, q summary
 	qlo := q1 - radius
 	k := p.dims
 	flat := k == len(q) && p.crd != nil
-	sawExpired := false
 
 	start := sort.Search(len(p.lo1), func(i int) bool { return p.lo1[i] >= lo })
 	for j := start; j < len(p.lo1); j++ {
@@ -633,7 +494,6 @@ func (p *shardSnap) appendCandidates(dst []query.Match, visited int64, q summary
 		}
 		visited++
 		if e := p.exp[j]; e != 0 && now >= e {
-			sawExpired = true
 			continue
 		}
 		if p.hi1[j] >= qlo { // cheap interval pre-test before MinDist
@@ -658,7 +518,7 @@ func (p *shardSnap) appendCandidates(dst []query.Match, visited int64, q summary
 			}
 		}
 	}
-	return dst, visited, sawExpired
+	return dst, visited
 }
 
 // appendCandidates scans the active generation from chunk c on: every
@@ -692,27 +552,6 @@ func (c *genChunk) appendCandidates(dst []query.Match, visited int64, q summary.
 		}
 	}
 	return dst, visited
-}
-
-// compactBand drops, in place, the expired entries of the band a query
-// just scanned on an exclusive store.
-func (s *Store) compactBand(sh *storeShard, q1, radius float64, now sim.Time) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.view.Load().runs[0]
-	lo := q1 - radius - cur.maxWidth
-	hi := q1 + radius
-	inBandExpired := func(b *summary.MBR) bool {
-		l1 := b.Lo[0]
-		return l1 >= lo && l1 <= hi && b.Expired(now)
-	}
-	if removed := filterInPlace(cur, inBandExpired); removed > 0 {
-		if len(cur.refs) == 0 {
-			cur.dims = -1
-		}
-		cur.epoch++
-		s.epochs.Add(1)
-	}
 }
 
 // shardWidth returns the widest first-coefficient interval shard i's walks
@@ -755,110 +594,6 @@ func (s *Store) shardEntries(i int) []*summary.MBR {
 		}
 	}
 	return out
-}
-
-// MatchMBR tests a single, just-arrived MBR against a query feature.
-func MatchMBR(b *summary.MBR, q summary.Feature, radius float64) (float64, bool) {
-	d := b.MinDist(q)
-	return d, d <= radius
-}
-
-// simSub is one similarity subscription registered at a covering node. Its
-// detection state (seen, pending) is guarded by mu: on the live node new
-// MBRs are matched against it from data-plane workers while the run loop
-// flushes its pending candidates each push period. The query itself and
-// the middle key are immutable after construction.
-type simSub struct {
-	q         *query.Similarity
-	middleKey dht.Key
-
-	mu sync.Mutex
-	// seen deduplicates candidates per (stream, seq) so a re-stored or
-	// re-matched MBR is reported once by this node.
-	seen map[string]map[uint64]bool
-	// pending are candidates detected since the last push-period flush.
-	pending []query.Match
-}
-
-func newSimSub(q *query.Similarity, middle dht.Key) *simSub {
-	return &simSub{q: q, middleKey: middle, seen: make(map[string]map[uint64]bool)}
-}
-
-// add records a candidate unless it was already reported.
-func (s *simSub) add(m query.Match) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seqs := s.seen[m.StreamID]
-	if seqs == nil {
-		seqs = make(map[uint64]bool)
-		s.seen[m.StreamID] = seqs
-	}
-	if seqs[m.Seq] {
-		return false
-	}
-	seqs[m.Seq] = true
-	s.pending = append(s.pending, m)
-	return true
-}
-
-// addAll records a batch of candidates.
-func (s *simSub) addAll(ms []query.Match) {
-	for _, m := range ms {
-		s.add(m)
-	}
-}
-
-// takePending returns and clears the pending candidates.
-func (s *simSub) takePending() []query.Match {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.pending
-	s.pending = nil
-	return out
-}
-
-// aggregator is the middle-node state of one similarity query: it absorbs
-// candidates funneled along the ring and periodically pushes them to the
-// client (§IV-F). Aggregators are run-loop-confined even on the live node
-// (notify absorption and response pushes are control-plane work).
-type aggregator struct {
-	queryID query.ID
-	client  dht.Key
-	expiry  sim.Time
-	// seen deduplicates across the whole range (several nodes may store
-	// replicas of the same MBR and report it independently).
-	seen    map[string]map[uint64]bool
-	pending []query.Match
-}
-
-func newAggregator(id query.ID, client dht.Key, expiry sim.Time) *aggregator {
-	return &aggregator{queryID: id, client: client, expiry: expiry, seen: make(map[string]map[uint64]bool)}
-}
-
-func (a *aggregator) absorb(ms []query.Match) {
-	for _, m := range ms {
-		seqs := a.seen[m.StreamID]
-		if seqs == nil {
-			seqs = make(map[uint64]bool)
-			a.seen[m.StreamID] = seqs
-		}
-		if seqs[m.Seq] {
-			continue
-		}
-		seqs[m.Seq] = true
-		a.pending = append(a.pending, m)
-	}
-}
-
-func (a *aggregator) takePending() []query.Match {
-	out := a.pending
-	a.pending = nil
-	return out
-}
-
-// ipSubState is one inner-product subscription at the stream's source.
-type ipSubState struct {
-	q *query.InnerProduct
 }
 
 // AppendOverlapping appends a match for every live stored MBR whose

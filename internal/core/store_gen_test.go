@@ -74,16 +74,17 @@ func liveAt(b *summary.MBR, now sim.Time) bool { return b.Expiry == 0 || now < b
 // concurrent Put / Sweep / AppendCandidates / AppendOverlapping (under
 // -race in CI) on a shared virtual clock, with mixed dimensionalities,
 // never-expiring entries and one shard taking 90 % of the inserts, and
-// holds it to a brute-force oracle while it runs and to the sequential
-// exclusive store between rounds:
+// holds it to a brute-force oracle while it runs and to the linear-scan
+// reference (refMatches) between rounds:
 //
 //   - a walk returns every matching entry whose Put had returned before the
 //     walk started and that is still live when it ends, nothing that is
 //     expired at the walk's now, nothing that does not match, nothing twice;
 //   - an entry is visible to a walk its own writer starts right after Put;
-//   - between rounds, candidate and overlap sets equal the oracle's;
+//   - between rounds, candidate and overlap sets equal the reference's;
 //   - what a reader loaded at the start of a round is unchanged at its end;
-//   - after a sweep no generation is held past its newest expiry, and, with
+//   - after a sweep every sealed run is sorted and no generation is held
+//     past its newest expiry, and, with
 //     expiries in near-arrival order, a shard holds no more expired entries
 //     than fit in the generations its oldest expiries can straddle — one,
 //     two where the disorder crosses a seal (Len() <= live + one
@@ -111,7 +112,7 @@ func genStoreProperty(t *testing.T, wild bool) {
 	)
 	s := NewShardedStore(4)
 	hotShard := s.shardOf(0.1)
-	oracle := NewStore()
+	var ref []*summary.MBR
 	var clk atomic.Int64
 	ws := make([]*genWriter, writers)
 	for w := range ws {
@@ -272,52 +273,41 @@ func genStoreProperty(t *testing.T, wild bool) {
 		}
 		wg.Wait()
 
-		// Quiescent: sweep both stores at the same instant and compare.
+		// Quiescent: sweep and compare with the reference at the same instant.
 		now := sim.Time(clk.Load())
 		s.Sweep(now)
 		for w := range ws {
-			for _, e := range ws[w].entries[round*perRound : (round+1)*perRound] {
-				oracle.Put(e)
-			}
+			ref = append(ref, ws[w].entries[round*perRound:(round+1)*perRound]...)
 		}
-		oracle.Sweep(now)
 		for i := range frozen {
 			frozen[i].verify(t)
 		}
 		rng := rand.New(rand.NewSource(int64(2e6 + round)))
 		for k := 0; k < 8; k++ {
 			q := randomQuery(rng)
-			got, want := s.Candidates(q, radius, now, 1), oracle.Candidates(q, radius, now, 1)
-			sortMatches(got)
-			sortMatches(want)
-			if !slices.Equal(got, want) {
-				t.Fatalf("round %d: candidates of %v at %v diverged from the oracle:\n%v\n%v", round, q, now, got, want)
-			}
+			checkCandidates(t, s, ref, q, radius, now)
 			hi := q.Clone()
 			for d := range hi {
 				hi[d] += 0.1
 			}
-			got, want = s.AppendOverlapping(nil, q, hi, now, 1), oracle.AppendOverlapping(nil, q, hi, now, 1)
+			got := s.AppendOverlapping(nil, q, hi, now, 1)
 			sortMatches(got)
-			sortMatches(want)
-			if !slices.Equal(got, want) {
-				t.Fatalf("round %d: overlaps of [%v,%v] at %v diverged from the oracle:\n%v\n%v", round, q, hi, now, got, want)
+			if want := refMatches(ref, q, hi, 0, now, 1); !slices.Equal(got, want) {
+				t.Fatalf("round %d: overlaps of [%v,%v] at %v diverged from the reference:\n%v\n%v", round, q, hi, now, got, want)
 			}
 		}
 
 		// Storage: everything live is held, and no generation outlives its
 		// newest entry.
-		if held := s.Len(); held != len(s.allEntries()) || held < oracle.Len() {
-			t.Fatalf("round %d: Len() = %d, store holds %d entries, %d are live", round, held, len(s.allEntries()), oracle.Len())
+		if held, live := s.Len(), refLive(ref, now); held != len(s.allEntries()) || held < live {
+			t.Fatalf("round %d: Len() = %d, store holds %d entries, %d are live", round, held, len(s.allEntries()), live)
 		}
+		checkSealedRuns(t, s, now)
 		for i := range s.shards {
 			sh := &s.shards[i]
 			runs := sh.view.Load().runs
 			expired, largest, second := 0, 0, 0
 			for _, p := range runs {
-				if p.newest <= now {
-					t.Fatalf("round %d: shard %d still holds a generation whose newest entry expired at %v (now %v)", round, i, p.newest, now)
-				}
 				if n := len(p.refs); n > largest {
 					largest, second = n, largest
 				} else if n > second {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -22,14 +23,15 @@ func sortMatches(ms []query.Match) {
 	})
 }
 
-// TestShardedStoreMatchesSingleShard: the sharded store must report exactly
-// the candidate set of the single-shard store over an identical entry
-// population, for many random queries — the shard partition is a pure
-// performance transform.
+// TestShardedStoreMatchesSingleShard: the sharded store and the
+// single-shard store must both report exactly the reference's candidate
+// set over an identical entry population, for many random queries — the
+// shard partition is a pure performance transform.
 func TestShardedStoreMatchesSingleShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	oracle := NewStore()
+	single := NewShardedStore(1)
 	sharded := NewShardedStore(8)
+	var ref []*summary.MBR
 	for i := 0; i < 2000; i++ {
 		l1 := rng.Float64()*3 - 1.5
 		w := rng.Float64() * 0.2
@@ -39,31 +41,23 @@ func TestShardedStoreMatchesSingleShard(t *testing.T) {
 		}
 		b := mbrAt(fmt.Sprintf("s%d", i%37), uint64(i), summary.Feature{l1, rng.Float64()},
 			summary.Feature{l1 + w, rng.Float64() + 1}, expiry)
-		oracle.Put(b)
+		single.Put(b)
 		sharded.Put(b)
+		ref = append(ref, b)
 	}
 	for trial := 0; trial < 200; trial++ {
 		q := summary.Feature{rng.Float64()*3 - 1.5, rng.Float64()}
 		r := rng.Float64() * 0.5
-		// Time only moves forward: the oracle forgets the expired entries
-		// a walk passes over, the generational store keeps them until
-		// their generation is dropped.
-		now := sim.Time(trial * 120 / 200)
-		got := sharded.Candidates(q, r, now, 1)
-		want := oracle.Candidates(q, r, now, 1)
-		sortMatches(got)
-		sortMatches(want)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d (q=%v r=%v now=%v): sharded %d matches, oracle %d\n%v\n%v",
-				trial, q, r, now, len(got), len(want), got, want)
-		}
+		now := sim.Time(rng.Intn(120))
+		checkCandidates(t, sharded, ref, q, r, now)
+		checkCandidates(t, single, ref, q, r, now)
 	}
 }
 
 // TestShardedStoreConcurrentOracle hammers one sharded store with
 // concurrent Put / AppendCandidates / Sweep interleavings (run under -race
-// by CI) and afterwards checks the surviving contents against a sequential
-// single-shard oracle fed the same entries.
+// by CI) and afterwards checks the surviving contents against the
+// linear-scan reference over the same entries.
 func TestShardedStoreConcurrentOracle(t *testing.T) {
 	const (
 		writers   = 4
@@ -72,7 +66,7 @@ func TestShardedStoreConcurrentOracle(t *testing.T) {
 	)
 	s := NewShardedStore(8)
 
-	// Pre-generate each writer's entries so the oracle can replay them.
+	// Pre-generate each writer's entries so the reference can list them.
 	entries := make([][]*summary.MBR, writers)
 	for w := range entries {
 		rng := rand.New(rand.NewSource(int64(100 + w)))
@@ -122,30 +116,18 @@ func TestShardedStoreConcurrentOracle(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Sequential oracle: same entries, single shard, one final sweep at a
-	// time past every mid-run expiry.
-	oracle := NewStore()
-	for _, batch := range entries {
-		for _, b := range batch {
-			oracle.Put(b)
-		}
-	}
+	// One final sweep at a time past every mid-run expiry: every generation
+	// that held an expiring entry is gone, so exactly the live entries stay.
+	ref := slices.Concat(entries...)
 	const now = 100 * sim.Time(1)
-	oracle.Sweep(now)
 	s.Sweep(now)
-	if got, want := s.Len(), oracle.Len(); got != want {
-		t.Fatalf("after concurrent run: %d entries, oracle has %d", got, want)
+	if got, want := s.Len(), refLive(ref, now); got != want {
+		t.Fatalf("after concurrent run: %d entries, %d are live", got, want)
 	}
+	checkSealedRuns(t, s, now)
 	// Candidate sets must agree too.
 	for trial := 0; trial < 50; trial++ {
-		q := summary.Feature{float64(trial)/25 - 1, 0.05}
-		got := s.Candidates(q, 0.15, now, 1)
-		want := oracle.Candidates(q, 0.15, now, 1)
-		sortMatches(got)
-		sortMatches(want)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: candidate sets diverged:\n%v\n%v", trial, got, want)
-		}
+		checkCandidates(t, s, ref, summary.Feature{float64(trial)/25 - 1, 0.05}, 0.15, now)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,8 +59,8 @@ func TestSnapshotPutVisibleImmediately(t *testing.T) {
 // sweeper expires them, and readers walk candidates the whole time, all
 // under -race in CI. Readers check walk-level invariants in flight (every
 // match corresponds to a real put, epochs never run backwards), and the
-// final surviving state is compared against a sequential single-shard
-// oracle fed the same entries.
+// final surviving state is compared against the linear-scan reference
+// over the same entries.
 func TestSnapshotConcurrentIngestExpiryMatch(t *testing.T) {
 	const (
 		writers   = 4
@@ -138,27 +139,14 @@ func TestSnapshotConcurrentIngestExpiryMatch(t *testing.T) {
 	stop.Store(true)
 	readWG.Wait()
 
-	oracle := NewStore()
-	for _, batch := range entries {
-		for _, b := range batch {
-			oracle.Put(b)
-		}
-	}
+	ref := slices.Concat(entries...)
 	const now = 100 * sim.Time(1)
-	oracle.Sweep(now)
 	s.Sweep(now)
-	if got, want := s.Len(), oracle.Len(); got != want {
-		t.Fatalf("after concurrent run: %d entries, oracle has %d", got, want)
+	if got, want := s.Len(), refLive(ref, now); got != want {
+		t.Fatalf("after concurrent run: %d entries, %d are live", got, want)
 	}
 	for trial := 0; trial < 60; trial++ {
-		q := summary.Feature{float64(trial)/30 - 1, 0.05}
-		got := s.Candidates(q, 0.15, now, 1)
-		want := oracle.Candidates(q, 0.15, now, 1)
-		sortMatches(got)
-		sortMatches(want)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: candidate sets diverged:\n%v\n%v", trial, got, want)
-		}
+		checkCandidates(t, s, ref, summary.Feature{float64(trial)/30 - 1, 0.05}, 0.15, now)
 	}
 	st := s.SnapStats()
 	if st.Epochs == 0 || st.CowCopied == 0 {
@@ -171,7 +159,7 @@ func TestSnapshotConcurrentIngestExpiryMatch(t *testing.T) {
 func walkView(v *shardView, q summary.Feature, radius float64, now sim.Time) []query.Match {
 	var out []query.Match
 	for _, p := range v.runs {
-		out, _, _ = p.appendCandidates(out, 0, q, q[0], radius, now, 1)
+		out, _ = p.appendCandidates(out, 0, q, q[0], radius, now, 1)
 	}
 	out, _ = v.active.appendCandidates(out, 0, q, radius, now, 1)
 	return out
@@ -244,11 +232,11 @@ func TestSnapshotStaleReadIsImmutable(t *testing.T) {
 }
 
 // TestSnapshotEpochAndCowCounters sanity-checks the SnapStats surface the
-// node exposes over STATS. On the live store every Put publishes (epoch
+// node exposes over STATS. Every Put publishes (epoch
 // bump) and moves nothing; an entry is moved exactly once, when the Put
 // that fills its generation seals it; a sweep with nothing to drop
-// publishes nothing; dropping generations moves nothing. The exclusive
-// simulator store inserts in place — no generations, no seals.
+// publishes nothing; dropping generations moves nothing. Entries that
+// never expire cannot fill a generation, so they are never sealed.
 func TestSnapshotEpochAndCowCounters(t *testing.T) {
 	live := NewShardedStore(1)
 	const n = 600
@@ -277,18 +265,17 @@ func TestSnapshotEpochAndCowCounters(t *testing.T) {
 		t.Fatalf("dropping every generation: %+v, want one more epoch and nothing moved (%+v)", st, want)
 	}
 
-	simStore := NewStore()
-	for i := 0; i < 5; i++ {
+	// The simulator's configuration: StoreShards 0 means one shard.
+	simStore := NewShardedStore(0)
+	for i := 0; i < 5*minChunk; i++ {
 		simStore.Put(mbrAt("s", uint64(i), summary.Feature{0.1}, summary.Feature{0.2}, 0))
 	}
-	st := simStore.SnapStats()
-	if st.Epochs != 5 {
-		t.Fatalf("sim Epochs = %d, want 5 (one per Put)", st.Epochs)
+	want = SnapStats{Epochs: 5 * minChunk}
+	if st := simStore.SnapStats(); st != want || simStore.Shards() != 1 || simStore.Generations() != 1 {
+		t.Fatalf("%d never-expiring puts: %+v in %d generations over %d shards, want %+v in the active one",
+			5*minChunk, st, simStore.Generations(), simStore.Shards(), want)
 	}
-	if st.Merges != 0 || st.CowCopied != 0 {
-		t.Fatalf("sim store sealed (merges %d, moved %d); exclusive mode must insert in place", st.Merges, st.CowCopied)
-	}
-	if v := simStore.shards[0].view.Load(); len(v.runs) != 1 || v.active != nil || len(v.runs[0].refs) != 5 {
-		t.Fatalf("sim store is not one in-place run: %d runs, active %v", len(v.runs), v.active)
+	if removed := simStore.Sweep(100 * sim.Second); removed != 0 || simStore.Len() != 5*minChunk {
+		t.Fatalf("sweep removed %d never-expiring entries, %d left", removed, simStore.Len())
 	}
 }

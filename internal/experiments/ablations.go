@@ -165,8 +165,8 @@ func Baselines(sizes []int, base workload.Config, workers int) ([]BaselineRow, e
 
 func baselineRow(n int, design string, rep *metrics.Report) BaselineRow {
 	var sum float64
-	for _, l := range rep.NodeLoad {
-		sum += l
+	for _, id := range rep.NodeIDs() {
+		sum += rep.NodeLoad[id]
 	}
 	mean := sum / float64(len(rep.NodeLoad))
 	_, max := rep.MaxLoadNode()

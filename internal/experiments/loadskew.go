@@ -52,9 +52,9 @@ type SkewRow struct {
 // the run's id→owner map and returns one rate per physical node.
 func physLoads(run *workload.Run, rep *metrics.Report) []float64 {
 	loads := make([]float64, run.Cfg.Nodes)
-	for id, l := range rep.NodeLoad {
+	for _, id := range rep.NodeIDs() {
 		if phys, ok := run.PhysOf[id]; ok {
-			loads[phys] += l
+			loads[phys] += rep.NodeLoad[id]
 		}
 	}
 	return loads

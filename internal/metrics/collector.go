@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -293,16 +294,29 @@ func (r *Report) LoadQuantiles(qs ...float64) []float64 {
 	return out
 }
 
-// MaxLoadNode returns the most loaded node and its rate.
+// MaxLoadNode returns the most loaded node and its rate; of several equally
+// loaded nodes, the one with the lowest id.
 func (r *Report) MaxLoadNode() (dht.Key, float64) {
 	var bestID dht.Key
 	best := -1.0
 	for id, l := range r.NodeLoad {
-		if l > best {
+		if l > best || (l == best && id < bestID) {
 			best, bestID = l, id
 		}
 	}
 	return bestID, best
+}
+
+// NodeIDs returns the reported ring ids in ascending order — the order to
+// sum NodeLoad in: float addition is not associative, so a sum taken in map
+// iteration order differs in its last bits from run to run.
+func (r *Report) NodeIDs() []dht.Key {
+	ids := make([]dht.Key, 0, len(r.NodeLoad))
+	for id := range r.NodeLoad {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Gini returns the Gini coefficient of the load sample: 0 for a perfectly

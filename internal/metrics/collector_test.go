@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"streamdex/internal/dht"
@@ -303,5 +304,17 @@ func TestGiniDoesNotMutateInput(t *testing.T) {
 		if loads[i] != want[i] {
 			t.Fatalf("input mutated: %v", loads)
 		}
+	}
+}
+
+func TestMaxLoadNodeTieGoesToLowerID(t *testing.T) {
+	r := &Report{NodeLoad: map[dht.Key]float64{9: 2.5, 4: 2.5, 7: 1, 2: 0.5}}
+	for i := 0; i < 50; i++ { // map order varies call to call
+		if id, l := r.MaxLoadNode(); id != 4 || l != 2.5 {
+			t.Fatalf("max = (%d,%v), want the lower of the tied ids (4, 2.5)", id, l)
+		}
+	}
+	if ids := r.NodeIDs(); !slices.Equal(ids, []dht.Key{2, 4, 7, 9}) {
+		t.Fatalf("NodeIDs = %v, want ascending", ids)
 	}
 }

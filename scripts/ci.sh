@@ -25,8 +25,8 @@
 #                        TCP cluster must reproduce the simulator's answer
 #                        sets, and a subscription must survive the scripted
 #                        crash of every covering node
-#  11. zero-alloc guards — the lock-free store walks (exclusive run,
-#                        un-swept and generational shards), a sweep with
+#  11. zero-alloc guards — the lock-free store walks (one shard and
+#                        eight, un-swept and in steady state), a sweep with
 #                        nothing to seal or drop and the arena decode must
 #                        stay allocation-free on their steady state, and a
 #                        steady-state Put must amortize under 0.1 allocs
