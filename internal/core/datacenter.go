@@ -443,9 +443,10 @@ func (dc *DataCenter) AdmitShedCount() int64 { return dc.admitShed.Load() }
 
 // handleQuery registers a similarity subscription at a covering node, scans
 // the local index for immediate candidates, installs the aggregator when
-// this node covers the middle key, and continues the range multicast.
-// onLoop distinguishes the serialized path (simulator, pool-less node) from
-// a pool worker.
+// this node covers the middle key, sends what the scan found to the middle
+// node at once (forwardCandidates: the first answer takes route time, not a
+// push period), and continues the range multicast. onLoop distinguishes the
+// serialized path (simulator, pool-less node) from a pool worker.
 //
 // Ordering fence: the subscription is registered *before* the store walk,
 // and publishers insert into the store *before* matching subscriptions
@@ -499,17 +500,26 @@ func (dc *DataCenter) handleQuery(msg *dht.Message, onLoop bool) {
 				scratch = new([]query.Match)
 			}
 			*scratch = dc.store.AppendCandidates((*scratch)[:0], p.Q.Feature, p.Q.Radius, now, dc.id)
+			found := len(*scratch) > 0
 			sub.addAll(*scratch)
 			dc.matchScratch.Put(scratch)
-			if dc.mw.net.Covers(dc.id, p.MiddleKey) {
+			if middle := dc.mw.net.Covers(dc.id, p.MiddleKey); middle || found {
+				// Aggregators and routed sends belong to the loop, so a
+				// worker hands both steps back in one post, installation
+				// first. A post refused because the node is shutting down
+				// costs the answer and nothing else; elsewhere on the ring
+				// absorbOrRelay re-creates a missing aggregator from the
+				// first notify item.
+				step := func() {
+					if middle {
+						dc.installAggregator(p.Q.ID, p.Q.Origin, p.Q.Expiry())
+					}
+					dc.forwardCandidates(sub)
+				}
 				if onLoop {
-					dc.installAggregator(p.Q.ID, p.Q.Origin, p.Q.Expiry())
+					step()
 				} else {
-					// Aggregators are loop state; a worker hands the
-					// installation back. If the post races shutdown, the
-					// adaptive path in absorbOrRelay re-creates the
-					// aggregator from the first notify item.
-					dc.poster.Post(func() { dc.installAggregator(p.Q.ID, p.Q.Origin, p.Q.Expiry()) })
+					dc.poster.Post(step)
 				}
 			}
 		}
@@ -540,23 +550,62 @@ func (dc *DataCenter) onNotify(msg *dht.Message) {
 	}
 }
 
+// forwardCandidates moves a subscription's pending candidates to the
+// query's middle node without waiting for the push period: absorbed on the
+// spot when this node is the middle node, otherwise as one KindNotify
+// routed by the middle key. Draining through takePending means the
+// periodic flush never sends them again. Loop context.
+func (dc *DataCenter) forwardCandidates(sub *simSub) {
+	pending := sub.takePending()
+	if len(pending) == 0 {
+		return
+	}
+	item := NotifyItem{
+		QueryID:   sub.q.ID,
+		MiddleKey: sub.middleKey,
+		ClientKey: sub.q.Origin,
+		Expiry:    int64(sub.q.Expiry()),
+		Matches:   pending,
+	}
+	if dc.mw.net.Covers(dc.id, sub.middleKey) {
+		dc.absorbOrRelay(item)
+		return
+	}
+	msg := sized(&dht.Message{Kind: KindNotify, Payload: NotifyBatch{Items: []NotifyItem{item}}})
+	dc.mw.net.Send(dc.id, sub.middleKey, msg)
+}
+
 func (dc *DataCenter) absorbOrRelay(item NotifyItem) {
 	now := dc.mw.clk.Now()
-	if now >= sim.Time(item.Expiry) {
+	if now >= dc.funnelDeadline(sim.Time(item.Expiry)) {
 		return // stale query: drop
 	}
 	if dc.mw.net.Covers(dc.id, item.MiddleKey) {
 		agg := dc.aggs[item.QueryID]
 		if agg == nil {
-			// Ring ownership shifted (churn): adopt the aggregation
-			// duty; the item carries everything needed.
+			// Ring ownership shifted (churn), or a routed notify outran
+			// the query multicast: adopt the aggregation duty; the item
+			// carries everything needed.
 			agg = newAggregator(item.QueryID, item.ClientKey, sim.Time(item.Expiry))
 			dc.aggs[item.QueryID] = agg
 		}
 		agg.absorb(item.Matches)
+		if !agg.delivered && len(agg.pending) > 0 {
+			// The query's first match goes to the client now; from here
+			// on the aggregator answers once per push period.
+			dc.pushResponse(agg)
+		}
 		return
 	}
 	dc.relay = append(dc.relay, item)
+}
+
+// funnelDeadline is when the funnel stops moving a query's detections: one
+// push period past its expiry, the grace the client's result table gives
+// (resultTable.retireAt), so what a coverer matched in the query's last
+// period still gets through.
+func (dc *DataCenter) funnelDeadline(expiry sim.Time) sim.Time {
+	return expiry + dc.mw.cfg.PushPeriod
 }
 
 // onLocGet answers a location-service lookup.
@@ -651,7 +700,7 @@ func (dc *DataCenter) flushNotifies(now sim.Time) {
 	}
 
 	for _, item := range dc.relay {
-		if now >= sim.Time(item.Expiry) {
+		if now >= dc.funnelDeadline(sim.Time(item.Expiry)) {
 			continue
 		}
 		bucket(item)
@@ -710,24 +759,41 @@ func (dc *DataCenter) toSuccessor(middle dht.Key) bool {
 	return sp.Distance(dc.id, middle) <= sp.Distance(middle, dc.id)
 }
 
-// pushResponses sends each aggregator's periodic response to its client —
-// one message per active query per period, so the total response rate is
-// linearly proportional to the number of queries (§V).
+// pushResponses sends each aggregator's periodic response to its client,
+// empty or not — one message per active query per period, so the response
+// rate stays linearly proportional to the number of queries (§V). The one
+// response outside this schedule is a query's first match, which
+// absorbOrRelay pushes the moment it arrives.
+//
+// An expired aggregator answers only when it holds detections — what was
+// pending at expiry, what arrives until the funnel deadline — and is
+// deleted at that deadline.
 func (dc *DataCenter) pushResponses(now sim.Time) {
 	for id, agg := range dc.aggs {
-		if now >= agg.expiry {
-			continue
+		if now < agg.expiry || len(agg.pending) > 0 {
+			dc.pushResponse(agg)
 		}
-		dc.mw.col.CountEvent(metrics.EventResponse)
-		payload := ResponseMsg{QueryID: id, Matches: agg.takePending()}
-		if agg.client == dc.id {
-			// Client co-located with the middle node: local delivery.
-			dc.mw.deliverSimilarity(dc.id, payload)
-			continue
+		if now >= dc.funnelDeadline(agg.expiry) {
+			delete(dc.aggs, id)
 		}
-		msg := sized(&dht.Message{Kind: KindResponse, Payload: payload})
-		dc.mw.net.Send(dc.id, agg.client, msg)
 	}
+}
+
+// pushResponse sends what the aggregator has collected since its last
+// response to the client.
+func (dc *DataCenter) pushResponse(agg *aggregator) {
+	dc.mw.col.CountEvent(metrics.EventResponse)
+	payload := ResponseMsg{QueryID: agg.queryID, Matches: agg.takePending()}
+	if len(payload.Matches) > 0 {
+		agg.delivered = true
+	}
+	if agg.client == dc.id {
+		// Client co-located with the middle node: local delivery.
+		dc.mw.deliverSimilarity(dc.id, payload)
+		return
+	}
+	msg := sized(&dht.Message{Kind: KindResponse, Payload: payload})
+	dc.mw.net.Send(dc.id, agg.client, msg)
 }
 
 // pushInnerProducts reconstructs each subscribed stream from its retained

@@ -16,8 +16,9 @@ const (
 	// KindQuery disseminates a similarity query over its key range
 	// ("get", §IV-E).
 	KindQuery
-	// KindNotify carries detected-similarity information one ring hop
-	// toward a query's middle node (§IV-F).
+	// KindNotify carries detected-similarity information toward a query's
+	// middle node (§IV-F): one ring hop per push period, or routed by the
+	// middle key when the first answer or an expiring query cannot wait.
 	KindNotify
 	// KindResponse carries aggregated results from a middle node to the
 	// client that posed the query (§IV-F).
@@ -88,8 +89,8 @@ type SimQuery struct {
 	MiddleKey dht.Key
 }
 
-// NotifyItem carries the candidates a node collected for one query, moving
-// one ring hop per push period toward the query's middle node.
+// NotifyItem carries the candidates a node collected for one query on
+// their way to the query's middle node.
 type NotifyItem struct {
 	QueryID   query.ID
 	MiddleKey dht.Key
@@ -187,7 +188,13 @@ func (classifier) Classify(from dht.Key, msg *dht.Message) metrics.Category {
 			return metrics.QueryTransit
 		}
 	case KindNotify:
-		return metrics.NeighborNotify
+		// One hop to a ring neighbor, or the first hop of a notify routed
+		// to the middle node; the hops intermediate nodes forward the
+		// latter over are response traffic in transit.
+		if origin {
+			return metrics.NeighborNotify
+		}
+		return metrics.ResponseTransit
 	case KindResponse:
 		if origin {
 			return metrics.ResponseClient

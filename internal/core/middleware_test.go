@@ -470,6 +470,7 @@ func TestClassifierCategories(t *testing.T) {
 		{dht.Message{Kind: KindQuery, Src: 5, Hops: 3}, 9, metrics.QueryTransit},
 		{dht.Message{Kind: KindQuery, Src: 5, Hops: 3, Dir: -1}, 9, metrics.QueryRange},
 		{dht.Message{Kind: KindNotify, Src: 5, Hops: 1}, 5, metrics.NeighborNotify},
+		{dht.Message{Kind: KindNotify, Src: 5, Hops: 2}, 8, metrics.ResponseTransit},
 		{dht.Message{Kind: KindResponse, Src: 5, Hops: 1}, 5, metrics.ResponseClient},
 		{dht.Message{Kind: KindResponse, Src: 5, Hops: 2}, 8, metrics.ResponseTransit},
 		{dht.Message{Kind: KindLocGet, Src: 5, Hops: 1}, 5, metrics.Location},

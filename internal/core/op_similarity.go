@@ -7,6 +7,7 @@ package core
 // dispatch surface.
 
 import (
+	"sort"
 	"sync"
 
 	"streamdex/internal/cqe"
@@ -53,21 +54,27 @@ func (o *simOp) DeliverData(h cqe.Host, msg *dht.Message) bool {
 func (o *simOp) OnMBR(h cqe.Host, b *summary.MBR) { o.dc.matchNewMBR(b) }
 
 // Tick implements cqe.Operator: the similarity slice of the historical
-// periodTick — sweep subscriptions and aggregators, funnel detected
-// similarities one ring hop, push aggregated responses to clients.
+// periodTick — sweep expired subscriptions, funnel detected similarities
+// one ring hop, push aggregated responses to clients and sweep expired
+// aggregators. A subscription leaves with what it detected in its last
+// period: drained straight to the middle node, which a hop-per-period
+// relay would no longer reach in time.
 func (o *simOp) Tick(h cqe.Host, now sim.Time) {
 	dc := o.dc
+	var expired []*simSub
 	dc.subMu.Lock()
 	for id, sub := range dc.subs {
 		if now >= sub.q.Expiry() {
 			delete(dc.subs, id)
+			expired = append(expired, sub)
 		}
 	}
 	dc.subMu.Unlock()
-	for id, agg := range dc.aggs {
-		if now >= agg.expiry {
-			delete(dc.aggs, id)
-		}
+	// Deterministic send order: map iteration order must not leak into the
+	// simulator's event schedule.
+	sort.Slice(expired, func(i, j int) bool { return expired[i].q.ID < expired[j].q.ID })
+	for _, sub := range expired {
+		dc.forwardCandidates(sub)
 	}
 	dc.flushNotifies(now)
 	dc.pushResponses(now)
@@ -163,6 +170,10 @@ type aggregator struct {
 	// replicas of the same MBR and report it independently).
 	seen    seqSet
 	pending []query.Match
+	// delivered is set once a response has carried a match to the client.
+	// Until then an absorbed match is pushed at once instead of waiting
+	// for the period.
+	delivered bool
 }
 
 func newAggregator(id query.ID, client dht.Key, expiry sim.Time) *aggregator {

@@ -178,9 +178,9 @@ func (o *subOp) OnMBR(h cqe.Host, b *summary.MBR) {
 	}
 }
 
-// Tick implements cqe.Operator: sweep expired registrations, push pending
-// detections to their subscribers, and refresh this node's own standing
-// predicates.
+// Tick implements cqe.Operator: push pending detections to their
+// subscribers, sweep expired registrations, and refresh this node's own
+// standing predicates.
 func (o *subOp) Tick(h cqe.Host, now sim.Time) {
 	type push struct {
 		origin dht.Key
@@ -189,12 +189,13 @@ func (o *subOp) Tick(h cqe.Host, now sim.Time) {
 	var pushes []push
 	o.mu.Lock()
 	for id, sub := range o.subs {
-		if now >= sub.p.Expiry() {
-			delete(o.subs, id)
-			continue
-		}
+		// An expired registration still pushes what it detected in its
+		// last period; the subscriber's table accepts it for one more.
 		if pending := sub.takePending(); len(pending) > 0 {
 			pushes = append(pushes, push{sub.p.Origin, SubMatchMsg{SubID: id, Matches: pending}})
+		}
+		if now >= sub.p.Expiry() {
+			delete(o.subs, id)
 		}
 	}
 	o.n.Store(int32(len(o.subs)))

@@ -4,8 +4,9 @@ package core
 // frequencies: a monitor registers at every node covering a
 // routing-coordinate range; each covering node counts the MBR
 // publications landing in the range — counting a publication only at the
-// single node owning the key of its low coordinate, so range replication
-// never double-counts — and pushes its cumulative frequency table to the
+// single node owning the key of its low coordinate, and there once per
+// (stream, seq), so neither range replication nor soft-state republish
+// double-counts — and pushes its cumulative frequency table to the
 // monitoring node every period. Tables replace the node's previous report
 // at the origin (cqe.TopKTable), so retransmissions after churn are
 // idempotent; the origin's top-k is the sum across reporting nodes.
@@ -28,6 +29,10 @@ type topkMonitor struct {
 
 	mu     sync.Mutex
 	counts map[string]uint64
+	// seen makes a publication count once however often it arrives: the
+	// source stores it before the multicast brings it back, and with
+	// Replicas > 1 re-announces it every push period while it lives.
+	seen seqSet
 }
 
 type topkOp struct {
@@ -86,7 +91,7 @@ func (o *topkOp) onTopK(h cqe.Host, msg *dht.Message) {
 	if q := p.Q; q != nil && h.Now() < q.Expiry() {
 		o.mu.Lock()
 		if _, known := o.mons[q.ID]; !known {
-			o.mons[q.ID] = &topkMonitor{q: q, counts: make(map[string]uint64)}
+			o.mons[q.ID] = &topkMonitor{q: q, counts: make(map[string]uint64), seen: seqSet{}}
 			o.n.Store(int32(len(o.mons)))
 		}
 		o.mu.Unlock()
@@ -113,7 +118,9 @@ func (o *topkOp) OnMBR(h cqe.Host, b *summary.MBR) {
 			continue
 		}
 		mon.mu.Lock()
-		mon.counts[b.StreamID]++
+		if mon.seen.add(b.StreamID, b.Seq) {
+			mon.counts[b.StreamID]++
+		}
 		mon.mu.Unlock()
 	}
 }

@@ -215,16 +215,7 @@ func TestLoopbackClusterMatchesSimulator(t *testing.T) {
 	ids := nodeIDs(cfg.Space)
 
 	// Register the same streams on the same nodes.
-	for i, st := range clusterStreams() {
-		idx := i % nNodes
-		var err error
-		nodes[idx].Do(func() {
-			err = mws[idx].DataCenter(ids[idx]).RegisterStream(st)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerClusterStreams(t, nodes, mws, ids)
 	// Windows fill in WindowSize*Period = 320 ms; leave margin.
 	time.Sleep(1 * time.Second)
 

@@ -47,9 +47,11 @@
 #                        late join must re-converge to the oracle), and
 #                        sim-vs-live parity of the same machine on a real
 #                        TCP cluster, both under the race detector
-#  15. ratio gates (race) — TestLoadSkewGate and TestHeadToHeadGates: the
-#                        seeded virtual-time load-skew bound and the three
-#                        chord-vs-koorde ratios, named here so they stay
+#  15. ratio gates (race) — TestLoadSkewGate, TestHeadToHeadGates and
+#                        TestFirstAnswerGate: the seeded virtual-time
+#                        load-skew bound, the three chord-vs-koorde ratios
+#                        and first match over push period for queries with
+#                        a candidate in store, named here so they stay
 #                        covered even if step 4 ever runs in -short mode
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -145,14 +147,16 @@ echo "== koorde churn + sim-vs-live parity (race) =="
 go test -race -count=1 -run 'TestKoordeChurnReconverges' ./internal/koorde
 go test -race -count=1 -run 'TestKoordeParitySimVsLive' ./internal/transport
 
-echo "== simulator ratio gates: load skew, chord-vs-koorde (race) =="
+echo "== simulator ratio gates: load skew, chord-vs-koorde, first answer (race) =="
 # Seeded virtual-time facts, so reproducible on any host. At 50 nodes under
 # Zipf(1.1) the balanced arm (vnodes=4, replicas=3) must keep p99/mean
 # per-node load <= 2.0 and not above the plain ring's; at 500 nodes
 # Koorde's mean lookup hops must be strictly below Chord's (the de Bruijn
 # claim), its maintenance bandwidth within 1.3x (piggybacked pointer
 # repair) and its tree-multicast last delivery within 1.15x (de
-# Bruijn-aware arc splits).
-go test -race -count=1 -run 'TestLoadSkewGate|TestHeadToHeadGates' ./internal/experiments
+# Bruijn-aware arc splits); at 50 nodes a query with a candidate in store
+# must see its first match within 0.25 push periods at the median (route
+# time, not push timers).
+go test -race -count=1 -run 'TestLoadSkewGate|TestHeadToHeadGates|TestFirstAnswerGate' ./internal/experiments
 
 echo "CI OK"
