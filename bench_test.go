@@ -164,11 +164,14 @@ func BenchmarkAblationRangeMulticast(b *testing.B) {
 	widths := []int{2, 4, 8, 16, 32, 64}
 	var rows []experiments.MulticastRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.RangeMulticast("", 256, widths)
+		var err error
+		if rows, err = experiments.RangeMulticast("", 256, widths); err != nil {
+			b.Fatal(err)
+		}
 	}
 	last := rows[len(rows)-1]
 	b.ReportMetric(float64(last.SeqDelay)/float64(last.BidiDelay), "seq/bidi-delay")
-	b.Log("\n" + experiments.AblationMulticast("", 256, widths).String())
+	b.Log("\n" + experiments.AblationMulticast("", 256, rows).String())
 }
 
 // BenchmarkAblationBaselines regenerates ablation A2: the distributed

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -89,7 +90,11 @@ var registry = []struct {
 		return experiments.FigLoadSkew(experiments.DefaultSkew, rows), nil
 	}},
 	{"ablation-multicast", func(e env) (*experiments.Table, error) {
-		return experiments.AblationMulticast(e.base.Substrate, 256, []int{2, 4, 8, 16, 32, 64}), nil
+		rows, err := experiments.RangeMulticast(e.base.Substrate, 256, []int{2, 4, 8, 16, 32, 64})
+		if err != nil {
+			return nil, err
+		}
+		return experiments.AblationMulticast(e.base.Substrate, 256, rows), nil
 	}},
 	{"ablation-baselines", func(e env) (*experiments.Table, error) {
 		return rendered(experiments.AblationBaselines)(experiments.Baselines(e.baselineSizes, e.base, e.workers))
@@ -156,7 +161,7 @@ func main() {
 		measure = flag.Int("measure", 100, "measurement interval, seconds of virtual time")
 		workers = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		radius  = flag.Float64("radius", 0.1, "similarity query radius for load/hop experiments")
-		machine = flag.String("substrate", "", "routing substrate for the figure experiments: a registered ring machine (chord, koorde) or pastry; empty = chord")
+		machine = flag.String("substrate", "", "routing substrate for the experiments: chord, koorde or pastry; empty = chord")
 	)
 	flag.Parse()
 
@@ -195,21 +200,25 @@ func run(exp, sizesFlag string, base workload.Config, workers int) error {
 	}
 
 	ran := false
+	var errs []error
 	for _, x := range registry {
 		if exp != "all" && exp != x.name {
 			continue
 		}
+		ran = true
 		t, err := x.run(e)
 		if err != nil {
-			return err
+			// One experiment that cannot run on this substrate does not
+			// hide the tables of the others under -exp all.
+			errs = append(errs, fmt.Errorf("%s: %w", x.name, err))
+			continue
 		}
 		fmt.Println(t.String())
-		ran = true
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (valid: %s, all)", exp, names())
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 func parseSizes(s string) ([]int, error) {

@@ -14,11 +14,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"streamdex/internal/dht"
 	"streamdex/internal/metrics"
-	"streamdex/internal/overlay"
 	"streamdex/internal/sim"
 	"streamdex/internal/workload"
 )
@@ -43,6 +41,8 @@ func main() {
 
 	// Validate every flag up front so a bad invocation fails with a clear
 	// message instead of surfacing as a panic or a half-built workload.
+	// The substrate name is checked by workload.Build (NewSubstrate), like
+	// every other caller's.
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "adidas-sim: "+format+"\n", args...)
 		os.Exit(1)
@@ -61,14 +61,6 @@ func main() {
 	}
 	if *window < 2 {
 		fail("-window must be at least 2, got %d", *window)
-	}
-	switch *substrate {
-	case "pastry":
-	default:
-		if _, ok := overlay.Lookup(*substrate); !ok {
-			fail("unknown substrate %q (registered machines: %s; also: pastry)",
-				*substrate, strings.Join(overlay.Names(), ", "))
-		}
 	}
 	if *vnodes < 0 {
 		fail("-vnodes must be non-negative, got %d", *vnodes)

@@ -348,7 +348,7 @@ func (n *node) Deliver(self dht.Key, msg *dht.Message) {
 				n.subs[q.ID] = sub
 			}
 		}
-		dht.ContinueRange(n.sys.net, self, msg)
+		dht.ContinueRange(n.sys.net, self, msg, 1)
 	case kindResponse:
 		// Client side: nothing to account beyond delivery.
 	}

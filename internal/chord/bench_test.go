@@ -72,7 +72,7 @@ func BenchmarkRangeMulticast64Nodes(b *testing.B) {
 		net.BuildStable(ids, nil)
 		for _, id := range ids {
 			net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
-				dht.ContinueRange(net, self, msg)
+				dht.ContinueRange(net, self, msg, 1)
 			}))
 		}
 		dht.SendRange(net, ids[0], ids[64], ids[127], &dht.Message{}, dht.RangeSequential)

@@ -195,7 +195,7 @@ func TestRangeMulticastSequential(t *testing.T) {
 		id := id
 		net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 			visited = append(visited, self)
-			dht.ContinueRange(net, self, msg)
+			dht.ContinueRange(net, self, msg, 1)
 		}))
 	}
 	// Paper §IV-C: a message sent to range [10, 19] must reach nodes 11,
@@ -225,7 +225,7 @@ func TestRangeMulticastBidirectional(t *testing.T) {
 			}
 			visited[self] = true
 			order = append(order, self)
-			dht.ContinueRange(net, self, msg)
+			dht.ContinueRange(net, self, msg, 1)
 		}))
 	}
 	dht.SendRange(net, 1, 10, 19, &dht.Message{Kind: 2}, dht.RangeBidirectional)
@@ -245,7 +245,7 @@ func TestRangeMulticastSingleNodeRange(t *testing.T) {
 	for _, id := range net.NodeIDs() {
 		net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 			count++
-			dht.ContinueRange(net, self, msg)
+			dht.ContinueRange(net, self, msg, 1)
 		}))
 	}
 	dht.SendRange(net, 8, 12, 13, &dht.Message{}, dht.RangeSequential)
@@ -261,7 +261,7 @@ func TestRangeMulticastWholeRing(t *testing.T) {
 	for _, id := range net.NodeIDs() {
 		net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 			visited[self]++
-			dht.ContinueRange(net, self, msg)
+			dht.ContinueRange(net, self, msg, 1)
 		}))
 	}
 	// Range covering (almost) the whole ring: [2, 1] wraps all the way.
@@ -291,7 +291,7 @@ func TestRangeMulticastFullRingAlignedBoundary(t *testing.T) {
 		for _, id := range net.NodeIDs() {
 			net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 				visited[self]++
-				dht.ContinueRange(net, self, msg)
+				dht.ContinueRange(net, self, msg, 1)
 			}))
 		}
 		// [0, 31] on the m=5 ring: node 1 covers (23, 1] and therefore
@@ -329,7 +329,7 @@ func TestBidirectionalHalvesPropagationTime(t *testing.T) {
 		for _, id := range n.NodeIDs() {
 			n.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 				last = e.Now()
-				dht.ContinueRange(n, self, msg)
+				dht.ContinueRange(n, self, msg, 1)
 			}))
 		}
 		// A wide range covering ~32 nodes.
@@ -448,7 +448,7 @@ func TestRangeMulticastTreeCoversExactly(t *testing.T) {
 	for _, id := range net.NodeIDs() {
 		net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 			visited[self]++
-			dht.ContinueRange(net, self, msg)
+			dht.ContinueRange(net, self, msg, 1)
 		}))
 	}
 	// Cover nodes ids[10]..ids[42] exactly, like the A1 setup.
@@ -480,7 +480,7 @@ func TestTreeMulticastFasterThanSequential(t *testing.T) {
 		for _, id := range net.NodeIDs() {
 			net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 				last = eng.Now()
-				dht.ContinueRange(net, self, msg)
+				dht.ContinueRange(net, self, msg, 1)
 			}))
 		}
 		dht.SendRange(net, ids[0], ids[16], ids[79], &dht.Message{}, mode) // 64 nodes
@@ -498,29 +498,5 @@ func TestTreeMulticastFasterThanSequential(t *testing.T) {
 	// the routed approach leg).
 	if treeMsgs > seqMsgs+8 {
 		t.Fatalf("tree sent %d msgs vs sequential %d", treeMsgs, seqMsgs)
-	}
-}
-
-func TestTreeFallsBackWithoutDelegator(t *testing.T) {
-	// The mock-free check: pastry (no DelegateRange) must still cover
-	// the full range sequentially; verified in the pastry tests. Here we
-	// assert the chord path sets Mode correctly on continuation legs.
-	eng, net := paperRing(t)
-	var modes []dht.RangeMode
-	for _, id := range net.NodeIDs() {
-		net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
-			modes = append(modes, msg.Mode)
-			dht.ContinueRange(net, self, msg)
-		}))
-	}
-	dht.SendRange(net, 1, 10, 19, &dht.Message{}, dht.RangeTree)
-	eng.Run()
-	if len(modes) != 3 {
-		t.Fatalf("visited %d nodes, want 3", len(modes))
-	}
-	for _, m := range modes {
-		if m != dht.RangeTree {
-			t.Fatalf("mode not preserved on continuation: %v", m)
-		}
 	}
 }

@@ -318,25 +318,12 @@ func (net *Network) WatchNeighbors(id dht.Key, fn func()) {
 // --- Data plane -----------------------------------------------------------
 
 // Send implements dht.Network: it initializes bookkeeping and routes msg
-// from node `from` to the node covering `key`. A tree-mode range
-// multicast whose origin machine wants the arc split (overlay.ArcSplitter
-// — Koorde, whose contiguous de Bruijn window cannot subdivide a distant
-// arc) leaves as independent routed sub-range legs instead of one walk.
+// from node `from` to the node covering `key`.
 func (net *Network) Send(from dht.Key, key dht.Key, msg *dht.Message) {
 	msg.Src = from
 	msg.Key = net.space.Wrap(key)
 	msg.Hops = 0
 	msg.SentAt = net.clk.Now()
-	if msg.HasRange && msg.Mode == dht.RangeTree && !msg.Split {
-		if n := net.nodes[from]; n != nil && n.alive {
-			if sp, ok := n.m.(overlay.ArcSplitter); ok {
-				if heads := sp.SplitHeads(msg.RangeStart, msg.RangeEnd); len(heads) >= 2 {
-					net.sendSplitLegs(from, msg, heads)
-					return
-				}
-			}
-		}
-	}
 	net.process(from, msg)
 }
 
@@ -344,30 +331,6 @@ func (net *Network) Send(from dht.Key, key dht.Key, msg *dht.Message) {
 // the leg degrades to the greedy step, which is strictly clockwise and
 // always terminates.
 const splitTTL = 64
-
-// sendSplitLegs fans a tree-mode ranged message out of `from` as one
-// routed leg per sub-arc: leg j is addressed to heads[j] and carries the
-// sub-range [heads[j], heads[j+1]-1] (the last leg keeps the original
-// high boundary and the tail ownership). Every leg starts an unanchored
-// stateful walk (dht.SplitShiftNone); exactly-once delivery holds
-// because the sub-ranges partition the arc and each leg's delegation
-// only ever reaches nodes inside its own sub-range.
-func (net *Network) sendSplitLegs(from dht.Key, msg *dht.Message, heads []dht.Key) int {
-	for j, h := range heads {
-		c := msg.Clone()
-		c.Key = h
-		c.RangeStart = h
-		if j+1 < len(heads) {
-			c.RangeEnd = net.space.Add(heads[j+1], net.space.Size()-1)
-			c.RangeTail = false
-		}
-		c.Split = true
-		c.SplitImg = 0
-		c.SplitShift = dht.SplitShiftNone
-		net.process(from, c)
-	}
-	return len(heads)
-}
 
 // Forward implements dht.Network: it re-routes an in-flight message toward
 // a new key, preserving cumulative hop count and origin.
@@ -397,7 +360,7 @@ func (net *Network) process(at dht.Key, msg *dht.Message) {
 			// to the head's coverer and delegating there. This node is
 			// before the sub-range and is not delivered itself.
 			clearSplit(msg)
-			net.DelegateRange(at, msg)
+			dht.FanOut(net, at, msg)
 			return
 		}
 		if dr, ok := n.m.(overlay.DigitRouter); ok && msg.Hops < splitTTL {
@@ -486,7 +449,7 @@ func (net *Network) Covers(id dht.Key, key dht.Key) bool {
 	return n != nil && n.alive && n.covers(net.space.Wrap(key))
 }
 
-// Successors implements dht.RingNeighbors: up to n live successors of id,
+// Successors implements dht.Neighbors: up to n live successors of id,
 // nearest first, from the node's protocol successor list. The list stops
 // at the first self-reference (a ring smaller than the list wraps around),
 // so callers see each neighbor at most once.
@@ -511,8 +474,8 @@ func (net *Network) Successors(id dht.Key, n int) []dht.Key {
 	return out
 }
 
-// SendToNode implements dht.RingNeighbors: one direct traversal to a known
-// ring neighbor, charged and delivered exactly like a successor hop.
+// SendToNode implements dht.Neighbors: one direct traversal to a known
+// neighbor, charged and delivered exactly like a successor hop.
 func (net *Network) SendToNode(from, to dht.Key, msg *dht.Message) {
 	n := net.nodes[from]
 	if n == nil || !n.alive || from == to {
@@ -521,3 +484,39 @@ func (net *Network) SendToNode(from, to dht.Key, msg *dht.Message) {
 	}
 	net.transmit(from, to, msg, false)
 }
+
+// RoutingEntries implements dht.Neighbors: the live entries the machine's
+// EachRoutingEntry yields — Chord fingers or Koorde de Bruijn pointers,
+// then successors.
+func (net *Network) RoutingEntries(id dht.Key, dst []dht.Key) []dht.Key {
+	n := net.nodes[id]
+	if n == nil || !n.alive {
+		return dst
+	}
+	n.m.EachRoutingEntry(func(r overlay.Ref) {
+		if r.ID != id && net.isAlive(r.ID) {
+			dst = append(dst, r.ID)
+		}
+	})
+	return dst
+}
+
+// SplitHeads implements dht.Neighbors for machines whose routing entries
+// cannot subdivide a distant arc (overlay.ArcSplitter — Koorde, whose
+// contiguous de Bruijn window sits near k·self): wide tree-mode arcs leave
+// as routed sub-range legs. Each leg's sub-arc is small enough to finish
+// in one successor-list fan-out, and every split at least halves the arc,
+// so depth stays logarithmic and the recursion terminates.
+func (net *Network) SplitHeads(id, lo, hi dht.Key) []dht.Key {
+	n := net.nodes[id]
+	if n == nil || !n.alive {
+		return nil
+	}
+	if sp, ok := n.m.(overlay.ArcSplitter); ok {
+		return sp.SplitHeads(lo, hi)
+	}
+	return nil
+}
+
+// Compile-time check.
+var _ dht.Neighbors = (*Network)(nil)

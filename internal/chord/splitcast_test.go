@@ -61,7 +61,7 @@ func runMulticast(t *testing.T, eng *sim.Engine, net *Network, origin, lo, hi dh
 				t.Errorf("split bookkeeping leaked into a delivery at node %d", self)
 			}
 			visited[self]++
-			dht.ContinueRange(net, self, msg)
+			dht.ContinueRange(net, self, msg, 1)
 		}))
 	}
 	dht.SendRange(net, origin, lo, hi, &dht.Message{Kind: 7}, mode)
@@ -190,7 +190,7 @@ func TestKoordeTreeMulticastShallower(t *testing.T) {
 		for _, id := range net.NodeIDs() {
 			net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 				last = eng.Now()
-				dht.ContinueRange(net, self, msg)
+				dht.ContinueRange(net, self, msg, 1)
 			}))
 		}
 		lo := net.Space().Add(ids[10], 1)

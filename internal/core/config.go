@@ -77,21 +77,9 @@ type Config struct {
 	// histogram sketch of its raw values, published over the key range of
 	// each finished MBR. Off by default — sketch traffic only flows for
 	// deployments that opt in, so the paper's evaluation workloads are
-	// unchanged.
+	// unchanged. A sketch spans MBRLifespan (the same soft-state horizon
+	// as the MBRs) and is parameterized by the sketch* constants below.
 	Sketches bool
-	// SketchWindow is the sliding-window span of the sketches (defaults to
-	// MBRLifespan when zero: the same soft-state horizon as the MBRs).
-	SketchWindow sim.Time
-	// SketchK is the exponential-histogram error parameter (at most K+1
-	// buckets per size class; defaults to 4, ~25% relative error).
-	SketchK int
-	// SketchBands is how many equal-width value sub-ranges of
-	// [SketchLo, SketchHi) the quantile bank tracks (defaults to 8).
-	SketchBands int
-	// SketchLo and SketchHi delimit the raw-value range the quantile bank
-	// buckets (defaults to [0, 1000): the bounded random-walk range of the
-	// workload generator). Out-of-range values clamp into the edge bands.
-	SketchLo, SketchHi float64
 
 	// Replicas is the hot-range replication factor: every stored MBR is
 	// additionally walked down Replicas-1 ring successors of each natural
@@ -116,27 +104,19 @@ type Config struct {
 	AdmitBurst float64
 }
 
-// sketchParams returns the effective sketch parameterization with defaults
-// applied.
-func (c Config) sketchParams() (window sim.Time, k, bands int, lo, hi float64) {
-	window = c.SketchWindow
-	if window <= 0 {
-		window = c.MBRLifespan
-	}
-	k = c.SketchK
-	if k < 1 {
-		k = 4
-	}
-	bands = c.SketchBands
-	if bands < 1 {
-		bands = 8
-	}
-	lo, hi = c.SketchLo, c.SketchHi
-	if !(lo < hi) {
-		lo, hi = 0, 1000
-	}
-	return window, k, bands, lo, hi
-}
+// The per-stream sketch parameterization (Config.Sketches).
+const (
+	// sketchK is the exponential-histogram error parameter: at most K+1
+	// buckets per size class, ~25% relative error.
+	sketchK = 4
+	// sketchBands is how many equal-width sub-ranges of
+	// [sketchLo, sketchHi) the quantile bank tracks.
+	sketchBands = 8
+	// sketchLo and sketchHi delimit the raw-value range the quantile bank
+	// buckets: the bounded random-walk range of the workload generator.
+	// Out-of-range values clamp into the edge bands.
+	sketchLo, sketchHi = 0, 1000
+)
 
 // DefaultConfig returns the Table I configuration: BSPAN 5 s, NPER 2 s, a
 // 32-bit ring, 4096-point windows summarized by 3 complex coefficients

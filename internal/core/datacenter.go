@@ -232,8 +232,7 @@ func (dc *DataCenter) RegisterStream(st stream.Stream) error {
 		batcher: summary.NewBatcher(st.ID, cfg.Beta),
 	}
 	if cfg.Sketches {
-		window, k, bands, lo, hi := cfg.sketchParams()
-		ls.sketch = summary.NewSketch(window, k, bands, lo, hi)
+		ls.sketch = summary.NewSketch(cfg.MBRLifespan, sketchK, sketchBands, sketchLo, sketchHi)
 	}
 	dc.streams[st.ID] = ls
 	if st.Prefill {
@@ -393,7 +392,7 @@ func (dc *DataCenter) onMBR(msg *dht.Message) {
 		dc.store.Put(b)
 		dc.engine.OnMBR(dc, b)
 	}
-	legs := dht.ContinueRange(dc.mw.net, dc.id, msg)
+	legs := dht.ContinueRange(dc.mw.net, dc.id, msg, 1)
 	// Replica tail: the last natural coverer of a sequential-mode range
 	// (no forward continuation left) walks the summary down Replicas-1
 	// further successors, so every stored MBR is held by R ring-adjacent
@@ -467,7 +466,7 @@ func (dc *DataCenter) handleQuery(msg *dht.Message, onLoop bool) {
 	// key equal to the receiving node's own id marks the choice as already
 	// made, so the handoff is applied at most once.
 	if r > 1 && msg.Dir == 0 && msg.Mode == dht.RangeSequential && p.MiddleKey != dc.id {
-		if rn, ok := dc.mw.net.(dht.RingNeighbors); ok {
+		if rn, ok := dc.mw.net.(dht.Neighbors); ok {
 			if off := dc.opRep.pickOffset(uint64(p.Q.ID)); off > 0 {
 				if succs := rn.Successors(dc.id, off); len(succs) >= off {
 					target := succs[off-1]
@@ -524,13 +523,9 @@ func (dc *DataCenter) handleQuery(msg *dht.Message, onLoop bool) {
 			}
 		}
 	}
-	if r > 1 {
-		// Replicated deployment: stride over the covering range — each
-		// landing holds the skipped nodes' summaries as replicas.
-		dht.ContinueRangeStrided(dc.mw.net, dc.id, msg, r)
-		return
-	}
-	dht.ContinueRange(dc.mw.net, dc.id, msg)
+	// A replicated deployment strides over the covering range: each landing
+	// holds the skipped nodes' summaries as replicas.
+	dht.ContinueRange(dc.mw.net, dc.id, msg, r)
 }
 
 // installAggregator makes this node the middle node of the query. Loop

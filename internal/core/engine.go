@@ -34,7 +34,7 @@ func (dc *DataCenter) SendRange(lo, hi dht.Key, msg *dht.Message) {
 
 // ContinueRange implements cqe.Host.
 func (dc *DataCenter) ContinueRange(msg *dht.Message) int {
-	return dht.ContinueRange(dc.mw.net, dc.id, msg)
+	return dht.ContinueRange(dc.mw.net, dc.id, msg, 1)
 }
 
 // PostToLoop implements cqe.Host. Without a poster (the simulator, where

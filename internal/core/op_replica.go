@@ -15,7 +15,7 @@ package core
 //   - Read balancing: the first coverer of a similarity query picks one of
 //     the R replicas by power-of-two-choices over that view (pickOffset)
 //     and the query then strides over the covering range, touching
-//     ~1/R of the coverers (dht.ContinueRangeStrided).
+//     ~1/R of the coverers (dht.ContinueRange with stride R).
 //
 // Everything is gated on Replicas > 1: at the default (0) the operator
 // delivers nothing, ticks into an early return, and the historical message

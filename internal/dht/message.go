@@ -60,7 +60,7 @@ type Message struct {
 	// machine's stateful walk (the imaginary de Bruijn address and the
 	// digits left to inject on Koorde); substrates without a DigitRouter
 	// machine route split legs greedily. All three fields are cleared
-	// before the message is delivered or delegated.
+	// before the message is delivered or fanned out (FanOut).
 	Split      bool
 	SplitImg   Key
 	SplitShift uint8
@@ -99,8 +99,8 @@ const (
 	// fingers), recursively — the "efficient native support of multicast
 	// to a range of keys" the paper calls for in §IV-C/§VI-B. Delay
 	// drops from linear to logarithmic in the number of covered nodes at
-	// the same message cost. Substrates without long links (see
-	// RangeDelegator) degrade gracefully to sequential propagation.
+	// the same message cost. A substrate that offers no routing entries
+	// (see Neighbors) walks the successor chain: sequential propagation.
 	RangeTree
 )
 
@@ -116,34 +116,6 @@ func (m RangeMode) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// RangeDelegator is implemented by substrates whose nodes hold
-// long-distance links (Chord fingers, Pastry routing tables) usable to
-// split a range multicast into a dissemination tree.
-type RangeDelegator interface {
-	// DelegateRange forwards copies of the just-delivered ranged message
-	// from self toward the rest of its range (self, msg.RangeEnd],
-	// partitioning the arc among self's long-range neighbors. It returns
-	// the number of legs sent.
-	DelegateRange(self Key, msg *Message) int
-}
-
-// RingNeighbors is optionally implemented by substrates that expose a
-// node's successor list beyond the immediate successor and can transmit a
-// message directly to a known ring neighbor (one traversal, no routing).
-// Replica-aware query dissemination uses it to stride over the covering
-// range and to hand a point query to the replica chosen by the read
-// balancer; substrates without it degrade to the plain sequential walk.
-type RingNeighbors interface {
-	// Successors returns up to n live successors of id, nearest first.
-	// The slice may be shorter than n (small rings, partial lists) and
-	// must not be retained by the caller past the current upcall.
-	Successors(id Key, n int) []Key
-	// SendToNode transmits msg one traversal from `from` directly to the
-	// ring neighbor `to`, preserving cumulative hop count. `to` must have
-	// been obtained from Successors; unknown targets may be dropped.
-	SendToNode(from, to Key, msg *Message)
 }
 
 // App is the application upcall: the routing layer invokes Deliver on the

@@ -82,7 +82,7 @@ func TestSendRangeSequentialOnMock(t *testing.T) {
 	for _, id := range net.ring {
 		net.apps[id] = AppFunc(func(self Key, msg *Message) {
 			visited = append(visited, self)
-			ContinueRange(net, self, msg)
+			ContinueRange(net, self, msg, 1)
 		})
 	}
 	SendRange(net, 10, 60, 180, &Message{}, RangeSequential)
@@ -103,7 +103,7 @@ func TestSendRangeBidirectionalOnMock(t *testing.T) {
 	for _, id := range net.ring {
 		net.apps[id] = AppFunc(func(self Key, msg *Message) {
 			order = append(order, self)
-			ContinueRange(net, self, msg)
+			ContinueRange(net, self, msg, 1)
 		})
 	}
 	SendRange(net, 10, 60, 220, &Message{}, RangeBidirectional)
@@ -131,8 +131,71 @@ func TestSendRangeBidirectionalOnMock(t *testing.T) {
 
 func TestContinueRangeNoopForPlainMessages(t *testing.T) {
 	net := newMockNet(8, []Key{10, 200})
-	if legs := ContinueRange(net, 10, &Message{}); legs != 0 {
+	if legs := ContinueRange(net, 10, &Message{}, 1); legs != 0 {
 		t.Fatalf("plain message produced %d legs", legs)
+	}
+}
+
+// entrylessNet is mockNet with a neighbour interface that offers no
+// routing entries — the shape of a live node.
+type entrylessNet struct{ *mockNet }
+
+func (n entrylessNet) Successors(id Key, k int) []Key {
+	return []Key{n.ring[(n.position(id)+1)%len(n.ring)]}
+}
+
+func (n entrylessNet) SendToNode(from, to Key, msg *Message) {
+	n.transmissions++
+	msg.Hops++
+	n.deliver(to, msg)
+}
+
+func (n entrylessNet) RoutingEntries(id Key, dst []Key) []Key { return dst }
+
+func (n entrylessNet) SplitHeads(id, lo, hi Key) []Key { return nil }
+
+// TestTreeWithoutRoutingEntriesWalksSequentially: with no routing entry
+// inside the arc a tree step walks to its successor under RangeTail, so a
+// substrate with no entries at all — or no neighbour interface — runs the
+// tree mode as the sequential walk: the same nodes in the same order,
+// every continuation leg the sequential leg's frame but for Mode and
+// RangeTail.
+func TestTreeWithoutRoutingEntriesWalksSequentially(t *testing.T) {
+	type leg struct {
+		at             Key
+		start, end     Key
+		dir, hops      int
+		mode           RangeMode
+		tail, hasRange bool
+	}
+	mock := newMockNet(8, []Key{10, 50, 100, 150, 200, 250})
+	walk := func(net Network, mode RangeMode) []leg {
+		var legs []leg
+		for _, id := range mock.ring {
+			mock.apps[id] = AppFunc(func(self Key, msg *Message) {
+				legs = append(legs, leg{self, msg.RangeStart, msg.RangeEnd, msg.Dir, msg.Hops, msg.Mode, msg.RangeTail, msg.HasRange})
+				ContinueRange(net, self, msg, 1)
+			})
+		}
+		SendRange(net, 10, 60, 180, &Message{}, mode)
+		return legs
+	}
+	want := walk(mock, RangeSequential)
+	for _, net := range []Network{mock, entrylessNet{mock}} {
+		got := walk(net, RangeTree)
+		if len(got) != len(want) {
+			t.Fatalf("%T: tree walk delivered %d legs, sequential %d", net, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.mode != RangeTree || !g.tail {
+				t.Fatalf("%T: leg %d at %d lost the tree mode or tail: %+v", net, i, g.at, g)
+			}
+			g.mode, g.tail = w.mode, w.tail
+			if g != w {
+				t.Fatalf("%T: leg %d = %+v, sequential walk %+v", net, i, got[i], w)
+			}
+		}
 	}
 }
 
@@ -163,7 +226,7 @@ func collectVisits(net *mockNet) *[]Key {
 	for _, id := range net.ring {
 		net.apps[id] = AppFunc(func(self Key, msg *Message) {
 			*visited = append(*visited, self)
-			ContinueRange(net, self, msg)
+			ContinueRange(net, self, msg, 1)
 		})
 	}
 	return visited

@@ -31,18 +31,23 @@ type MulticastRow struct {
 }
 
 // RangeMulticast measures completion delay (time until the last covered
-// node delivers) and message count of both strategies on an n-node ring
-// of the named routing machine with 50 ms hops, for each requested range
-// width (in covered nodes). The machine matters for the tree mode: its
-// fan-out set is the machine's own routing entries, and on Koorde wide
-// arcs leave as routed split legs. An empty machine name means Chord.
-func RangeMulticast(machine string, n int, widths []int) []MulticastRow {
+// node delivers) and message count of both strategies on an n-node
+// overlay of the named substrate (workload.NewSubstrate) with 50 ms hops,
+// for each requested range width (in covered nodes). The substrate matters
+// for the tree mode: its fan-out set is the substrate's own routing
+// entries, and on Koorde wide arcs leave as routed split legs. An empty
+// name means Chord.
+func RangeMulticast(substrate string, n int, widths []int) ([]MulticastRow, error) {
 	space := dht.NewSpace(20)
 	ids := chord.EquidistantIDs(space, n)
 	rows := make([]MulticastRow, 0, len(widths))
+	var err error
 	run := func(width int, mode dht.RangeMode) (sim.Time, int) {
 		eng := sim.NewEngine()
-		net := chord.New(eng, chord.Config{Space: space, HopDelay: 50 * sim.Millisecond, SuccListLen: 4, Machine: machine})
+		var net workload.Substrate
+		if net, err = workload.NewSubstrate(eng, substrate, chord.Config{Space: space, HopDelay: 50 * sim.Millisecond, SuccListLen: 4}); err != nil {
+			return 0, 0
+		}
 		net.BuildStable(ids, nil)
 		var last sim.Time
 		msgs := 0
@@ -50,7 +55,7 @@ func RangeMulticast(machine string, n int, widths []int) []MulticastRow {
 		for _, id := range net.NodeIDs() {
 			net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 				last = eng.Now()
-				dht.ContinueRange(net, self, msg)
+				dht.ContinueRange(net, self, msg, 1)
 			}))
 		}
 		// Cover exactly `width` nodes starting away from the sender.
@@ -62,18 +67,21 @@ func RangeMulticast(machine string, n int, widths []int) []MulticastRow {
 	}
 	for _, w := range widths {
 		if w < 1 || w > n {
-			panic(fmt.Sprintf("experiments: range width %d on %d nodes", w, n))
+			return nil, fmt.Errorf("experiments: range width %d on %d nodes", w, n)
 		}
 		sd, sm := run(w, dht.RangeSequential)
 		bd, bm := run(w, dht.RangeBidirectional)
 		td, tm := run(w, dht.RangeTree)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, MulticastRow{
 			RangeNodes: w,
 			SeqDelay:   sd, BidiDelay: bd, TreeDelay: td,
 			SeqMsgs: sm, BidiMsgs: bm, TreeMsgs: tm,
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // machineLabel names the ring machine a table ran on; the empty default
@@ -92,11 +100,12 @@ type countObserver struct {
 func (o countObserver) OnTransmit(from, to dht.Key, msg *dht.Message) { o.onTransmit() }
 func (o countObserver) OnDeliver(at dht.Key, msg *dht.Message)        {}
 
-// AblationMulticast renders the A1 comparison for the named machine.
-func AblationMulticast(machine string, n int, widths []int) *Table {
-	t := NewTable(fmt.Sprintf("Ablation A1: range multicast on %d %s nodes (50 ms/hop)", n, machineLabel(machine)),
+// AblationMulticast renders the A1 comparison RangeMulticast measured on n
+// nodes of the named substrate.
+func AblationMulticast(substrate string, n int, rows []MulticastRow) *Table {
+	t := NewTable(fmt.Sprintf("Ablation A1: range multicast on %d %s nodes (50 ms/hop)", n, machineLabel(substrate)),
 		"range-nodes", "seq-delay", "bidi-delay", "tree-delay", "seq-msgs", "bidi-msgs", "tree-msgs")
-	for _, r := range RangeMulticast(machine, n, widths) {
+	for _, r := range rows {
 		t.AddRow(r.RangeNodes, r.SeqDelay.String(), r.BidiDelay.String(), r.TreeDelay.String(),
 			r.SeqMsgs, r.BidiMsgs, r.TreeMsgs)
 	}

@@ -201,7 +201,10 @@ func TestFullEvaluationSharesSweep(t *testing.T) {
 }
 
 func TestRangeMulticastAblation(t *testing.T) {
-	rows := RangeMulticast("", 64, []int{2, 16, 32})
+	rows, err := RangeMulticast("", 64, []int{2, 16, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 3 {
 		t.Fatal("row count")
 	}
@@ -219,8 +222,11 @@ func TestRangeMulticastAblation(t *testing.T) {
 	if wide.BidiMsgs > wide.SeqMsgs+2 {
 		t.Fatalf("bidirectional costs %d msgs vs %d sequential", wide.BidiMsgs, wide.SeqMsgs)
 	}
-	if !strings.Contains(AblationMulticast("", 64, []int{2}).String(), "Ablation A1") {
+	if !strings.Contains(AblationMulticast("", 64, rows).String(), "Ablation A1") {
 		t.Fatal("A1 table missing title")
+	}
+	if _, err := RangeMulticast("bogus", 64, []int{2}); err == nil {
+		t.Fatal("unknown substrate accepted")
 	}
 }
 

@@ -231,11 +231,11 @@ func headToHeadOne(n int, machine string, seed int64, lookups int) (HeadToHeadRo
 		net.SetObserver(obs)
 		// Every node keeps the dissemination going, as the middleware's
 		// Deliver does; the tree fan-out set is the machine's own routing
-		// entries via the substrate's RangeDelegator.
+		// entries (dht.Neighbors).
 		apps := make([]dht.App, len(ids))
 		for i := range apps {
 			apps[i] = dht.AppFunc(func(at dht.Key, msg *dht.Message) {
-				dht.ContinueRange(net, at, msg)
+				dht.ContinueRange(net, at, msg, 1)
 			})
 		}
 		net.BuildStable(ids, apps)

@@ -419,65 +419,49 @@ func (net *Network) OracleSuccessor(key dht.Key) (dht.Key, bool) {
 	return net.sorted[i], true
 }
 
-// Compile-time interface check.
-var _ dht.Substrate = (*Network)(nil)
-
-// DelegateRange implements dht.RangeDelegator: the same finger-tree range
-// dissemination chord provides, built from the routing table and leaf set.
-// Long-range table entries inside the remaining arc split it into subtrees,
-// so wide-range multicast completes in logarithmic depth here too.
-func (net *Network) DelegateRange(self dht.Key, msg *dht.Message) int {
-	n := net.nodes[self]
-	if n == nil {
-		net.dropped++
-		return 0
+// Successors implements dht.Neighbors from the leaf set.
+func (net *Network) Successors(id dht.Key, n int) []dht.Key {
+	nd := net.nodes[id]
+	if nd == nil || n <= 0 {
+		return nil
 	}
-	hi := msg.RangeEnd
-	seen := make(map[dht.Key]bool)
-	var kids []dht.Key
-	consider := func(c dht.Key) {
-		if c == self || seen[c] {
-			return
-		}
-		if !net.space.BetweenIncl(c, self, hi) {
-			return
-		}
-		seen[c] = true
-		kids = append(kids, c)
+	return nd.succs[:min(n, len(nd.succs))]
+}
+
+// SendToNode implements dht.Neighbors: one direct traversal to a known
+// neighbor.
+func (net *Network) SendToNode(from, to dht.Key, msg *dht.Message) {
+	if net.nodes[from] == nil || from == to {
+		net.dropped++
+		return
+	}
+	net.transmit(from, to, msg, false)
+}
+
+// RoutingEntries implements dht.Neighbors: the routing table, then the
+// successor half of the leaf set — so tree-mode range multicast completes
+// in logarithmic depth here too.
+func (net *Network) RoutingEntries(id dht.Key, dst []dht.Key) []dht.Key {
+	n := net.nodes[id]
+	if n == nil {
+		return dst
 	}
 	for _, row := range n.table {
 		for _, e := range row {
 			if e.ok {
-				consider(e.id)
+				dst = append(dst, e.id)
 			}
 		}
 	}
-	for _, s := range n.succs {
-		consider(s)
-	}
-	if len(kids) == 0 {
-		if !msg.RangeTail {
-			return 0
-		}
-		c := msg.Clone()
-		c.Dir = +1
-		net.SendToSuccessor(self, c)
-		return 1
-	}
-	sort.Slice(kids, func(i, j int) bool {
-		return net.space.Distance(self, kids[i]) < net.space.Distance(self, kids[j])
-	})
-	for j, kid := range kids {
-		c := msg.Clone()
-		c.Dir = +1
-		if j+1 < len(kids) {
-			c.RangeEnd = net.space.Add(kids[j+1], net.space.Size()-1)
-			c.RangeTail = false
-		}
-		net.transmit(self, kid, c, false)
-	}
-	return len(kids)
+	return append(dst, n.succs...)
 }
 
-// Compile-time check.
-var _ dht.RangeDelegator = (*Network)(nil)
+// SplitHeads implements dht.Neighbors: the routing table spans every
+// distant arc, so a tree multicast never splits.
+func (net *Network) SplitHeads(id, lo, hi dht.Key) []dht.Key { return nil }
+
+// Compile-time interface checks.
+var (
+	_ dht.Substrate = (*Network)(nil)
+	_ dht.Neighbors = (*Network)(nil)
+)

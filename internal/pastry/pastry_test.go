@@ -158,7 +158,7 @@ func TestRangeMulticastOnPastry(t *testing.T) {
 	for _, id := range ids {
 		net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 			visited[self]++
-			dht.ContinueRange(net, self, msg)
+			dht.ContinueRange(net, self, msg, 1)
 		}))
 	}
 	lo, hi := ids[5], ids[12]
@@ -262,7 +262,7 @@ func TestTreeMulticastOnPastry(t *testing.T) {
 	for _, id := range ids {
 		net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 			visited[self]++
-			dht.ContinueRange(net, self, msg)
+			dht.ContinueRange(net, self, msg, 1)
 		}))
 	}
 	dht.SendRange(net, ids[0], ids[8], ids[40], &dht.Message{}, dht.RangeTree)
@@ -288,7 +288,7 @@ func TestTreeFasterThanSequentialOnPastry(t *testing.T) {
 		for _, id := range ids {
 			net.SetApp(id, dht.AppFunc(func(self dht.Key, msg *dht.Message) {
 				last = eng.Now()
-				dht.ContinueRange(net, self, msg)
+				dht.ContinueRange(net, self, msg, 1)
 			}))
 		}
 		dht.SendRange(net, ids[0], ids[16], ids[79], &dht.Message{}, mode)

@@ -431,7 +431,7 @@ func (n *Node) Covers(id dht.Key, key dht.Key) bool {
 	return id == n.self.ID && n.covers(n.space.Wrap(key))
 }
 
-// Successors implements dht.RingNeighbors: up to count successors of the
+// Successors implements dht.Neighbors: up to count successors of the
 // hosted node from the ring's published View, nearest first, stopping at
 // the first self-reference (small rings wrap). Lock-free; safe from pool
 // workers.
@@ -452,7 +452,17 @@ func (n *Node) Successors(id dht.Key, count int) []dht.Key {
 	return out
 }
 
-// SendToNode implements dht.RingNeighbors: one direct traversal to a ring
+// RoutingEntries implements dht.Neighbors. A live node offers no routing
+// entries to the range walk, so its tree mode walks the successor chain:
+// the sequential walk.
+func (n *Node) RoutingEntries(id dht.Key, dst []dht.Key) []dht.Key { return dst }
+
+// SplitHeads implements dht.Neighbors: a live node never splits an arc.
+func (n *Node) SplitHeads(id, lo, hi dht.Key) []dht.Key { return nil }
+
+var _ dht.Neighbors = (*Node)(nil)
+
+// SendToNode implements dht.Neighbors: one direct traversal to a ring
 // neighbor known from the successor list. If the view shifted and the
 // target is no longer listed, the message is routed toward the target's
 // own identifier instead — one extra hop beats a drop for the replica-

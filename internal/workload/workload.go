@@ -143,17 +143,6 @@ func (c Config) Validate() error {
 	if c.Warmup < 0 || c.Measure <= 0 {
 		return fmt.Errorf("workload: warmup/measure intervals")
 	}
-	switch c.Substrate {
-	case "", "pastry":
-	default:
-		if _, ok := overlay.Lookup(c.Substrate); !ok {
-			return fmt.Errorf("workload: unknown substrate %q (registered machines: %s; also: pastry)",
-				c.Substrate, strings.Join(overlay.Names(), ", "))
-		}
-	}
-	if c.FailAt > 0 && c.Substrate == "pastry" {
-		return fmt.Errorf("workload: failure injection requires a ring substrate with maintenance")
-	}
 	if c.FailAt > 0 && c.FailCount <= 0 {
 		return fmt.Errorf("workload: FailAt set without FailCount")
 	}
@@ -169,7 +158,55 @@ func (c Config) Validate() error {
 	if c.SkewRanks < 0 {
 		return fmt.Errorf("workload: negative skew rank count %d", c.SkewRanks)
 	}
-	return c.Core.Validate()
+	if err := c.Core.Validate(); err != nil {
+		return err
+	}
+	_, err := NewSubstrate(sim.NewEngine(), c.Substrate, c.ring())
+	return err
+}
+
+// ring returns the overlay parameters of the run. Static experiments run
+// without maintenance so every simulated event is accounted traffic;
+// failure injection turns the self-repair protocol on.
+func (c Config) ring() chord.Config {
+	rc := chord.Config{Space: c.Core.Space, HopDelay: c.HopDelay, SuccListLen: 8}
+	if c.FailAt > 0 {
+		rc.StabilizeEvery = 250 * sim.Millisecond
+		rc.FixFingersEvery = 125 * sim.Millisecond
+	}
+	return rc
+}
+
+// Substrate is a simulated routing layer, empty until BuildStable wires a
+// perfect overlay over the given identifiers.
+type Substrate interface {
+	dht.Substrate
+	BuildStable(ids []dht.Key, apps []dht.App)
+}
+
+// NewSubstrate builds a simulated routing layer by name: "chord" (also the
+// empty name) or any other ring machine registered with internal/overlay
+// ("koorde"), hosted by chord.Network; or "pastry", a static
+// prefix-routing overlay. ring carries the identifier space, hop delay,
+// successor-list length and maintenance periods; its Machine field is
+// ignored. Maintenance (ring.StabilizeEvery > 0, what churn and failure
+// injection need) is an error on pastry, which has no membership dynamics.
+func NewSubstrate(eng *sim.Engine, name string, ring chord.Config) (Substrate, error) {
+	switch name {
+	case "pastry":
+		if ring.StabilizeEvery > 0 {
+			return nil, fmt.Errorf("workload: failure injection requires a ring substrate with maintenance")
+		}
+		return pastry.New(eng, pastry.Config{Space: ring.Space, HopDelay: ring.HopDelay, LeafSize: 16}), nil
+	case "":
+	default:
+		if _, ok := overlay.Lookup(name); !ok {
+			return nil, fmt.Errorf("workload: unknown substrate %q (registered machines: %s; also: pastry)",
+				name, strings.Join(overlay.Names(), ", "))
+		}
+	}
+	ring.Machine = name
+	return chord.New(eng, ring), nil
 }
 
 // Run is a fully constructed simulation ready to execute.
@@ -237,35 +274,11 @@ func Build(cfg Config) (*Run, error) {
 		ids = chord.SortKeys(raw)
 	}
 	chord.SortKeys(primaries)
-	var net dht.Substrate
-	var chordNet *chord.Network
-	switch cfg.Substrate {
-	default: // any registered ring machine over the generic substrate
-		ccfg := chord.Config{
-			Space:       cfg.Core.Space,
-			HopDelay:    cfg.HopDelay,
-			SuccListLen: 8,
-			Machine:     cfg.Substrate,
-			// Static experiments run without maintenance so every
-			// simulated event is accounted traffic; failure injection
-			// turns the self-repair protocol on.
-		}
-		if cfg.FailAt > 0 {
-			ccfg.StabilizeEvery = 250 * sim.Millisecond
-			ccfg.FixFingersEvery = 125 * sim.Millisecond
-		}
-		chordNet = chord.New(eng, ccfg)
-		chordNet.BuildStable(ids, nil)
-		net = chordNet
-	case "pastry":
-		pn := pastry.New(eng, pastry.Config{
-			Space:    cfg.Core.Space,
-			HopDelay: cfg.HopDelay,
-			LeafSize: 16,
-		})
-		pn.BuildStable(ids, nil)
-		net = pn
+	net, err := NewSubstrate(eng, cfg.Substrate, cfg.ring())
+	if err != nil {
+		return nil, err
 	}
+	net.BuildStable(ids, nil)
 	mw, err := core.New(net, cfg.Core)
 	if err != nil {
 		return nil, err
@@ -295,6 +308,7 @@ func Build(cfg Config) (*Run, error) {
 	// FailAt; the ring repairs itself through stabilization while the
 	// workload keeps running.
 	if cfg.FailAt > 0 {
+		chordNet := net.(*chord.Network) // NewSubstrate refuses maintenance elsewhere
 		failRng := root.Fork("failures")
 		eng.ScheduleAt(cfg.Warmup+cfg.FailAt, func() {
 			for i := 0; i < cfg.FailCount; i++ {

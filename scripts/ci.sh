@@ -52,7 +52,10 @@
 #                        load-skew bound, the three chord-vs-koorde ratios
 #                        and first match over push period for queries with
 #                        a candidate in store, named here so they stay
-#                        covered even if step 4 ever runs in -short mode
+#                        covered even if step 4 ever runs in -short mode;
+#                        and TestTablesStableAcrossRuns: every adidas-bench
+#                        table on chord, koorde and pastry byte-identical
+#                        to cmd/adidas-bench/testdata/tables.golden
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -158,5 +161,8 @@ echo "== simulator ratio gates: load skew, chord-vs-koorde, first answer (race) 
 # must see its first match within 0.25 push periods at the median (route
 # time, not push timers).
 go test -race -count=1 -run 'TestLoadSkewGate|TestHeadToHeadGates|TestFirstAnswerGate' ./internal/experiments
+# The experiment tables did not move: every registry entry on every
+# simulated substrate renders exactly the committed golden (sizes 8, 16).
+go test -count=1 -run 'TestTablesStableAcrossRuns' ./cmd/adidas-bench
 
 echo "CI OK"

@@ -9,10 +9,10 @@ import (
 	"streamdex/internal/dht"
 	"streamdex/internal/dsp"
 	"streamdex/internal/metrics"
-	"streamdex/internal/pastry"
 	"streamdex/internal/query"
 	"streamdex/internal/sim"
 	"streamdex/internal/stream"
+	"streamdex/internal/workload"
 )
 
 // NodeID identifies a data center on the identifier ring.
@@ -71,18 +71,20 @@ type ClusterOptions struct {
 	PushPeriod time.Duration
 	// Bidirectional enables middle-node bidirectional range multicast.
 	Bidirectional bool
-	// TreeMulticast enables finger-tree range dissemination (logarithmic
-	// propagation delay; chord substrate only benefits, others fall back
-	// to sequential). Mutually exclusive with Bidirectional.
+	// TreeMulticast enables tree range dissemination over each node's
+	// routing entries — Chord fingers, Koorde de Bruijn pointers with
+	// routed split legs, the Pastry routing table — for logarithmic
+	// propagation delay. Mutually exclusive with Bidirectional.
 	TreeMulticast bool
 	// Seed drives all randomness (default 1).
 	Seed int64
 	// Churn enables the ring-maintenance protocol so nodes can be failed
 	// and the overlay self-repairs (slightly more simulation work).
 	Churn bool
-	// Substrate selects the routing layer: "chord" (default, with full
-	// membership dynamics) or "pastry" (static prefix-routing overlay).
-	// The middleware behaves identically on both.
+	// Substrate selects the routing layer: "chord" (default) or "koorde",
+	// ring machines with full membership dynamics, or "pastry" (static
+	// prefix-routing overlay, no Churn). The middleware behaves
+	// identically on all of them.
 	Substrate string
 }
 
@@ -92,7 +94,8 @@ type ClusterOptions struct {
 type Cluster struct {
 	eng *sim.Engine
 	net dht.Substrate
-	// chordNet is non-nil when the substrate is Chord, enabling FailNode.
+	// chordNet is non-nil on a ring machine (Chord, Koorde), enabling
+	// FailNode.
 	chordNet *chord.Network
 	mw       *core.Middleware
 	ids      []dht.Key
@@ -143,33 +146,22 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		hop = fromDuration(opts.HopDelay)
 	}
 	eng := sim.NewEngine()
-	ids := chord.SortKeys(chord.UniformIDs(cfg.Space, opts.Nodes))
-	var net dht.Substrate
-	var chordNet *chord.Network
-	switch opts.Substrate {
-	case "", "chord":
-		ccfg := chord.Config{Space: cfg.Space, HopDelay: hop, SuccListLen: 8}
-		if opts.Churn {
-			ccfg.StabilizeEvery = 500 * sim.Millisecond
-			ccfg.FixFingersEvery = 250 * sim.Millisecond
-		}
-		chordNet = chord.New(eng, ccfg)
-		chordNet.BuildStable(ids, nil)
-		net = chordNet
-	case "pastry":
-		if opts.Churn {
-			return nil, fmt.Errorf("streamdex: churn requires the chord substrate")
-		}
-		pn := pastry.New(eng, pastry.Config{Space: cfg.Space, HopDelay: hop, LeafSize: 16})
-		pn.BuildStable(ids, nil)
-		net = pn
-	default:
-		return nil, fmt.Errorf("streamdex: unknown substrate %q", opts.Substrate)
+	ring := chord.Config{Space: cfg.Space, HopDelay: hop, SuccListLen: 8}
+	if opts.Churn {
+		ring.StabilizeEvery = 500 * sim.Millisecond
+		ring.FixFingersEvery = 250 * sim.Millisecond
 	}
+	net, err := workload.NewSubstrate(eng, opts.Substrate, ring)
+	if err != nil {
+		return nil, err
+	}
+	ids := chord.SortKeys(chord.UniformIDs(cfg.Space, opts.Nodes))
+	net.BuildStable(ids, nil)
 	mw, err := core.New(net, cfg)
 	if err != nil {
 		return nil, err
 	}
+	chordNet, _ := net.(*chord.Network)
 	return &Cluster{eng: eng, net: net, chordNet: chordNet, mw: mw, ids: ids}, nil
 }
 
