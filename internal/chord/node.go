@@ -16,8 +16,9 @@
 //     reports every transmission and delivery to an observer for the
 //     evaluation's message accounting.
 //
-// The control plane is the shared message-driven protocol state machine
-// (internal/chord/protocol) — the same code the live TCP transport runs.
+// The control plane is the message-driven routing machine Config.Machine
+// names (internal/chord/protocol by default, on the shared overlay.Ring
+// backbone) — the same code the live TCP transport runs.
 // The simulator's adapter delivers its control messages through the event
 // engine with the per-hop delay, so maintenance traffic is observable and
 // chargeable exactly like data traffic, and churn scenarios exercise the

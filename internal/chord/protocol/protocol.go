@@ -1,27 +1,18 @@
-// Package protocol implements the Chord control plane — join, greedy
-// find_successor routing with TTL, stabilize/notify, successor-list
-// rotation, finger repair, predecessor liveness — as one pure,
-// message-driven state machine shared verbatim by the discrete-event
-// simulator (internal/chord) and the TCP transport (internal/transport).
+// Package protocol implements the Chord machine: the finger table and
+// greedy find_successor routing on top of the ring backbone
+// (overlay.Ring), which owns join, the successor list, stabilize/notify,
+// predecessor liveness, the pending-lookup table and the published view.
+// The machine supplies its long links (populated fingers), its lookup
+// request FindReq (tag 16) with the TTL-bounded greedy forward, finger
+// repair (one entry per fix-fingers firing), and the finger[0] = succ
+// refresh on a stabilize answer.
 //
-// The machine is substrate-blind: it consumes decoded control messages
-// (Handle) plus clock.Clock timers and emits (dest, message) pairs through
-// a send hook. It knows nothing about sockets or the event engine — the
-// simulator's adapter delivers sends after the per-hop delay through the
-// engine, the transport's adapter frames them over TCP with the packed
-// wire codec. Both substrates therefore make bit-for-bit the same ring
-// decisions on the same message trace, which is exactly the property the
-// paper's "runs on virtually any content-based routing implementation"
-// claim needs: behavior observed in simulation is the behavior deployed.
-//
-// Failure detection is deadline-free: a stabilize round that brings no
-// response before the next tick counts as a miss, and MissThreshold
-// consecutive misses rotate the successor list (or clear the predecessor).
-// Liveness short-cuts are available only through an optional alive filter
-// used for *routing* candidate selection (the simulator wires its oracle
-// in, matching its historical hardened routing); the maintenance protocol
-// itself never consults it, so control-plane convergence is driven purely
-// by messages on both substrates.
+// The machine is pure and message-driven, shared verbatim by the
+// discrete-event simulator (internal/chord) and the TCP transport
+// (internal/transport): it consumes decoded control messages (Handle) plus
+// clock.Clock timers and emits (dest, message) pairs through a send hook,
+// so both substrates make bit-for-bit the same ring decisions on the same
+// message trace.
 //
 // All methods must be called from the substrate's single event-loop
 // context (the engine goroutine in simulation, the clock.Wall loop live);
@@ -29,429 +20,97 @@
 package protocol
 
 import (
-	"sync/atomic"
-
 	"streamdex/internal/clock"
 	"streamdex/internal/dht"
-	"streamdex/internal/metrics"
 	"streamdex/internal/overlay"
-	"streamdex/internal/sim"
 )
 
-// Config carries the protocol parameters.
-type Config struct {
-	// Space is the identifier universe.
-	Space dht.Space
-	// SuccListLen is the successor-list length (failure tolerance).
-	// Defaults to 8.
-	SuccListLen int
-	// StabilizeEvery is the period of the stabilize/notify/ping maintenance
-	// task. Zero disables periodic maintenance (the machine still answers
-	// peers' messages).
-	StabilizeEvery sim.Time
-	// FixFingersEvery is the period of finger repair (one entry per
-	// firing); zero disables fingers (routing falls back to successors).
-	FixFingersEvery sim.Time
-	// JoinRetryEvery is the period at which an unanswered join lookup is
-	// re-issued. Each retry invalidates the previous lookup token, so a
-	// late answer to a superseded attempt can never install a stale
-	// successor. Defaults to StabilizeEvery, or 500 ms when maintenance is
-	// disabled.
-	JoinRetryEvery sim.Time
-	// MissThreshold is how many consecutive unanswered maintenance rounds
-	// a neighbor survives before being presumed dead. Defaults to 3.
-	MissThreshold int
-	// FindTTL bounds the greedy routing of a FindReq. Defaults to 64.
-	FindTTL int
+// MachineName is the registry key of the Chord machine.
+const MachineName = "chord"
+
+func init() {
+	overlay.Register(overlay.Factory{
+		Name: MachineName,
+		New: func(cfg overlay.Config, self Ref, clk clock.Clock, send func(to Ref, msg any)) overlay.Machine {
+			return New(cfg, self, clk, send)
+		},
+		Longlinks: Longlinks,
+	})
 }
 
-// pendingFind tracks an outstanding successor lookup.
-type pendingFind struct {
-	onResp func(Ref)
-	timer  clock.Timer
-}
-
-// joinState tracks an in-flight join attempt.
-type joinState struct {
-	bootstrap Ref
-	token     uint64
-	retry     clock.Ticker
-	onJoined  func(Ref)
+// Longlinks computes the perfect finger table for a warm start:
+// finger[i] = successor(self + 2^i) over the sorted live ring.
+func Longlinks(cfg overlay.Config, ring []dht.Key, self dht.Key) []Ref {
+	fingers := make([]Ref, cfg.Space.M)
+	for i := range fingers {
+		target := cfg.Space.Add(self, 1<<uint(i))
+		s, _ := overlay.SuccessorOnRing(cfg.Space, ring, target)
+		fingers[i] = Ref{ID: s}
+	}
+	return fingers
 }
 
 // Machine is one node's Chord control-plane state machine.
 type Machine struct {
-	cfg   Config
-	space dht.Space
-	self  Ref
-	clk   clock.Clock
-	send  func(to Ref, msg any)
+	*overlay.Ring
 
-	// alive is the optional routing-time liveness filter; nil trusts the
-	// message-learned state (the live transport's situation).
-	alive func(dht.Key) bool
+	space   dht.Space
+	self    Ref
+	send    func(to Ref, msg any)
+	findTTL int
 
-	// Ring state.
-	pred       *Ref
-	succList   []Ref
 	finger     []Ref
 	fingerOK   []bool
 	fingerTok  []uint64 // outstanding repair lookup per entry (0 = none)
 	nextFinger int
-
-	// Miss accounting.
-	stabSeen   bool
-	stabMisses int
-	predSeen   bool
-	predMisses int
-
-	// Outstanding lookups.
-	nextToken uint64
-	pendFind  map[uint64]*pendingFind
-
-	join *joinState
-
-	tickers  []clock.Ticker
-	phaseSet bool
-	stabPh   sim.Time
-	fixPh    sim.Time
-
-	stopped bool
-
-	stats metrics.Ring
-
-	// view is the last published routing snapshot (see View). The machine
-	// republishes it whenever ring state may have changed; readers on other
-	// goroutines load it wait-free.
-	view atomic.Pointer[View]
-
-	// neighborWatch, when set, is invoked (synchronously, in machine
-	// context) after a view publication that changed the node's immediate
-	// neighborhood — predecessor or first successor. It is the churn signal
-	// standing continuous-query registrations re-home on.
-	neighborWatch func()
+	// long is the populated finger entries in ascending slot order — the
+	// long links the backbone routes over and publishes.
+	long []Ref
 }
 
 // New builds a machine for self. send is invoked synchronously (from
 // Handle and from timer callbacks) for every outgoing control message; the
 // substrate adapter owns delivery.
-func New(cfg Config, self Ref, clk clock.Clock, send func(to Ref, msg any)) *Machine {
-	if cfg.Space.M == 0 {
-		panic("protocol: config without identifier space")
-	}
-	if clk == nil || send == nil {
-		panic("protocol: machine without clock or send hook")
-	}
-	if cfg.SuccListLen <= 0 {
-		cfg.SuccListLen = 8
-	}
-	if cfg.MissThreshold <= 0 {
-		cfg.MissThreshold = 3
-	}
-	if cfg.FindTTL <= 0 {
-		cfg.FindTTL = 64
-	}
-	if cfg.JoinRetryEvery <= 0 {
-		if cfg.StabilizeEvery > 0 {
-			cfg.JoinRetryEvery = cfg.StabilizeEvery
-		} else {
-			cfg.JoinRetryEvery = 500 * sim.Millisecond
-		}
-	}
+func New(cfg overlay.Config, self Ref, clk clock.Clock, send func(to Ref, msg any)) *Machine {
 	bits := int(cfg.Space.M)
 	m := &Machine{
-		stats:     metrics.Ring{Machine: MachineName},
-		cfg:       cfg,
-		space:     cfg.Space,
-		self:      Ref{ID: cfg.Space.Wrap(self.ID), Addr: self.Addr},
-		clk:       clk,
 		send:      send,
 		finger:    make([]Ref, bits),
 		fingerOK:  make([]bool, bits),
 		fingerTok: make([]uint64, bits),
-		pendFind:  make(map[uint64]*pendingFind),
 	}
-	m.publishView()
+	m.Ring = overlay.NewRing(MachineName, cfg, self, clk, send, overlay.RingHooks{
+		FindReq:          m.findReq,
+		Handle:           m.handle,
+		Longlinks:        func() []Ref { return m.long },
+		InstallLonglinks: m.installFingers,
+		Repair:           m.fixNextFinger,
+		Adopted:          m.adopted,
+	})
+	m.space, m.self, m.findTTL = m.Config().Space, m.Self(), m.Config().FindTTL
 	return m
 }
 
-// SetAliveFilter installs the routing-time liveness filter (nil clears
-// it). Only next-hop candidate selection consults it; the maintenance
-// protocol never does, so filtered and unfiltered machines converge
-// through the same message exchanges.
-func (m *Machine) SetAliveFilter(alive func(dht.Key) bool) { m.alive = alive }
-
-// SetNeighborWatch installs (or clears, with nil) the neighborhood-change
-// callback. It fires in machine context — the substrate's event loop — every
-// time a published view carries a different predecessor or first successor
-// than the previous one, including the first publication that establishes
-// them. Callbacks may send messages but must not re-enter the machine.
-func (m *Machine) SetNeighborWatch(fn func()) { m.neighborWatch = fn }
-
-// SetPhases fixes the initial delay of the two maintenance tickers
-// (normally the full period). Substrates use it to stagger nodes so they
-// do not stabilize in lock-step. Call before StartMaintenance.
-func (m *Machine) SetPhases(stabilize, fixFingers sim.Time) {
-	m.phaseSet = true
-	m.stabPh, m.fixPh = stabilize, fixFingers
+func (m *Machine) findReq(tok uint64, target dht.Key) any {
+	return FindReq{From: m.self, Token: tok, Target: target, TTL: m.findTTL, ReplyTo: m.self}
 }
 
-// Self returns the machine's own ref.
-func (m *Machine) Self() Ref { return m.self }
-
-// Joined reports whether the machine has ring state (a successor list).
-func (m *Machine) Joined() bool { return len(m.succList) > 0 }
-
-// Stats returns a snapshot of the maintenance counters.
-func (m *Machine) Stats() metrics.Ring { return m.stats }
-
-// --- Lifecycle ---
-
-// Create bootstraps a brand-new one-node ring and starts maintenance.
-func (m *Machine) Create() {
-	if m.stopped {
-		return
-	}
-	p := m.self
-	m.pred = &p
-	m.succList = []Ref{m.self}
-	m.publishView()
-	m.StartMaintenance()
-}
-
-// Join enters an existing ring through bootstrap: it asks the ring for
-// the successor of its own identifier and, once answered, adopts it,
-// starts maintenance and calls onJoined (which may be nil). Unanswered
-// lookups are retried every JoinRetryEvery; each retry cancels the
-// previous lookup token so a late FindResp to a superseded attempt is
-// counted stale and discarded rather than installed.
-func (m *Machine) Join(bootstrap Ref, onJoined func(Ref)) {
-	if m.stopped || m.Joined() || m.join != nil {
-		return
-	}
-	m.join = &joinState{bootstrap: bootstrap, onJoined: onJoined}
-	m.sendJoinFind()
-	m.join.retry = m.clk.EveryAfter(m.cfg.JoinRetryEvery, m.cfg.JoinRetryEvery, m.retryJoin)
-}
-
-// AbandonJoin cancels an in-flight join attempt (caller-side timeout).
-func (m *Machine) AbandonJoin() {
-	j := m.join
-	if j == nil {
-		return
-	}
-	m.join = nil
-	if j.retry != nil {
-		j.retry.Stop()
-	}
-	m.cancelFind(j.token)
-}
-
-// sendJoinFind issues (or re-issues) the join lookup toward the bootstrap
-// node, superseding any previous attempt's token.
-func (m *Machine) sendJoinFind() {
-	j := m.join
-	m.cancelFind(j.token)
-	tok := m.newToken()
-	pf := &pendingFind{onResp: m.completeJoin}
-	pf.timer = m.clk.Schedule(m.findExpiry(), func() { delete(m.pendFind, tok) })
-	m.pendFind[tok] = pf
-	j.token = tok
-	m.send(j.bootstrap, FindReq{
-		From: m.self, Token: tok, Target: m.self.ID, TTL: m.cfg.FindTTL, ReplyTo: m.self,
-	})
-}
-
-func (m *Machine) retryJoin() {
-	if m.join == nil {
-		return
-	}
-	if _, pending := m.pendFind[m.join.token]; pending {
-		// The previous attempt is still inside its expiry window — its
-		// answer may simply be several hops away. Re-issuing now would
-		// cancel the token and turn every in-flight answer stale, which on
-		// a slow path repeats forever (the retry period racing the lookup
-		// round trip). Retry only once the lookup has provably expired.
-		return
-	}
-	m.sendJoinFind()
-}
-
-// completeJoin adopts the successor the ring answered with.
-func (m *Machine) completeJoin(succ Ref) {
-	j := m.join
-	if j == nil {
-		return
-	}
-	m.join = nil
-	if j.retry != nil {
-		j.retry.Stop()
-	}
-	if succ.ID == m.self.ID {
-		succ = m.self
-	}
-	m.succList = []Ref{succ}
-	m.pred = nil
-	m.publishView()
-	m.StartMaintenance()
-	if j.onJoined != nil {
-		j.onJoined(succ)
-	}
-}
-
-// StartMaintenance launches the periodic stabilize and fix-fingers tasks.
-// Idempotent; a no-op when StabilizeEvery is zero.
-func (m *Machine) StartMaintenance() {
-	if m.stopped || len(m.tickers) > 0 || m.cfg.StabilizeEvery <= 0 {
-		return
-	}
-	stabPh, fixPh := m.cfg.StabilizeEvery, m.cfg.FixFingersEvery
-	if m.phaseSet {
-		stabPh, fixPh = m.stabPh, m.fixPh
-	}
-	m.tickers = append(m.tickers, m.clk.EveryAfter(stabPh, m.cfg.StabilizeEvery, m.stabilizeTick))
-	if m.cfg.FixFingersEvery > 0 {
-		m.tickers = append(m.tickers, m.clk.EveryAfter(fixPh, m.cfg.FixFingersEvery, m.fixNextFinger))
-	}
-}
-
-// Stop halts maintenance and cancels outstanding lookups; the machine
-// ignores all further messages. Used for shutdown and crash simulation.
-func (m *Machine) Stop() {
-	m.stopped = true
-	for _, t := range m.tickers {
-		t.Stop()
-	}
-	m.tickers = nil
-	for tok, pf := range m.pendFind {
-		pf.timer.Cancel()
-		delete(m.pendFind, tok)
-	}
-	if m.join != nil && m.join.retry != nil {
-		m.join.retry.Stop()
-	}
-	m.join = nil
-}
-
-// --- Warm-start and splice mutators (simulator construction paths) ---
-
-// InstallRing overwrites the machine's ring state wholesale: predecessor
-// (nil clears it), successor list, and — when fingers is non-nil — the
-// full finger table. The simulator's perfect-ring warm start (BuildStable)
-// and the parity harness use it; the live protocol never does.
-func (m *Machine) InstallRing(pred *Ref, succList []Ref, fingers []Ref) {
-	if pred != nil {
-		p := *pred
-		m.pred = &p
-	} else {
-		m.pred = nil
-	}
-	m.succList = append(m.succList[:0], succList...)
-	if fingers != nil {
-		for i := range m.finger {
-			if i < len(fingers) {
-				m.finger[i] = fingers[i]
-				m.fingerOK[i] = true
-			} else {
-				m.fingerOK[i] = false
-			}
-		}
-	}
-	m.publishView()
-}
-
-// AdoptPredecessor force-sets the predecessor (graceful-leave splice).
-func (m *Machine) AdoptPredecessor(p Ref) {
-	r := p
-	m.pred = &r
-	m.predSeen = true
-	m.predMisses = 0
-	m.publishView()
-}
-
-// ClearPredecessor force-clears the predecessor (graceful-leave splice).
-func (m *Machine) ClearPredecessor() {
-	m.pred = nil
-	m.predMisses = 0
-	m.publishView()
-}
-
-// AdoptSuccessors force-replaces the successor list (graceful-leave
-// splice).
-func (m *Machine) AdoptSuccessors(list []Ref) {
-	m.succList = append(m.succList[:0], list...)
-	m.stabMisses = 0
-	m.publishView()
-}
-
-// --- Message handling ---
-
-// Handle consumes one decoded control message. The substrate calls it
-// after transport-level delivery (hop delay in simulation, socket read
-// live).
-func (m *Machine) Handle(msg any) {
-	if m.stopped {
-		return
-	}
-	switch c := msg.(type) {
-	case FindReq:
+func (m *Machine) handle(msg any) {
+	if c, ok := msg.(FindReq); ok {
 		m.handleFindReq(c)
-	case FindResp:
-		m.handleFindResp(c)
-	case StabReq:
-		m.handleStabReq(c)
-	case StabResp:
-		m.handleStabResp(c)
-	case Notify:
-		m.considerPredecessor(c.From)
-	case PingReq:
-		m.send(c.From, PingResp{From: m.self})
-	case PingResp:
-		if m.pred != nil && c.From.ID == m.pred.ID {
-			m.predSeen = true
-		}
 	}
-	// Any handled message may have moved ring state (adopted successor,
-	// new predecessor, resolved finger lookup); republish the snapshot.
-	m.publishView()
 }
 
-// handleFindReq answers a successor lookup when this node covers the
-// target, otherwise forwards it greedily toward the closest preceding
-// routing entry.
+// handleFindReq answers a successor lookup when this node's successor
+// covers the target, otherwise forwards it greedily toward the closest
+// preceding routing entry.
 func (m *Machine) handleFindReq(c FindReq) {
-	if c.TTL <= 0 {
-		// Exhausted (or corrupt) request: reject outright, never answer or
-		// forward on borrowed time.
-		m.stats.FindDrops++
-		return
-	}
-	succ, ok := m.liveSuccessor()
-	if !ok {
-		return // not in a ring yet
-	}
-	// Standard Chord find_successor: if the target lies in (self, succ],
-	// the successor is the answer.
-	if succ.ID == m.self.ID || m.space.BetweenIncl(c.Target, m.self.ID, succ.ID) {
-		answer := succ
-		if succ.ID == m.self.ID {
-			answer = m.self
-		}
-		if c.ReplyTo.ID == m.self.ID {
-			// Local lookup resolved locally.
-			m.resolveFind(c.Token, answer)
-			return
-		}
-		m.send(c.ReplyTo, FindResp{From: m.self, Token: c.Token, Succ: answer})
-		return
-	}
-	if c.TTL <= 1 {
-		m.stats.FindDrops++
+	if _, forward := m.ServeFind(c.Token, c.Target, c.TTL, c.ReplyTo); !forward {
 		return
 	}
 	next, ok := m.NextHop(c.Target)
 	if !ok || next.ID == m.self.ID {
-		m.stats.FindDrops++
+		m.Counters().FindDrops++
 		return
 	}
 	c.TTL--
@@ -459,162 +118,36 @@ func (m *Machine) handleFindReq(c FindReq) {
 	m.send(next, c)
 }
 
-// handleFindResp resolves the matching pending lookup; responses whose
-// token is gone (expired, superseded by a retry, duplicated) are stale
-// and must be dropped — resolving them could install an outdated
-// successor over a fresher answer.
-func (m *Machine) handleFindResp(c FindResp) {
-	if !m.resolveFind(c.Token, c.Succ) {
-		m.stats.StaleFindResps++
+// installFingers overwrites the finger table from a warm-start list.
+func (m *Machine) installFingers(fingers []Ref) {
+	for i := range m.finger {
+		if i < len(fingers) {
+			m.finger[i] = fingers[i]
+			m.fingerOK[i] = true
+		} else {
+			m.fingerOK[i] = false
+		}
 	}
+	m.compactFingers()
 }
 
-func (m *Machine) resolveFind(tok uint64, succ Ref) bool {
-	pf := m.pendFind[tok]
-	if pf == nil {
-		return false
-	}
-	delete(m.pendFind, tok)
-	pf.timer.Cancel()
-	pf.onResp(succ)
-	return true
-}
-
-// handleStabReq reports our predecessor and successor list back to the
-// requester — who believes we are its successor, which makes it a
-// predecessor candidate even before its explicit notify arrives.
-func (m *Machine) handleStabReq(c StabReq) {
-	resp := StabResp{From: m.self, SuccList: append([]Ref(nil), m.succList...)}
-	if m.pred != nil {
-		resp.HasPred, resp.Pred = true, *m.pred
-	}
-	m.send(c.From, resp)
-	m.considerPredecessor(c.From)
-}
-
-// handleStabResp applies the successor's view: adopt a closer successor
-// when its predecessor sits between us, refresh the successor list, then
-// notify.
-func (m *Machine) handleStabResp(c StabResp) {
-	succ, ok := m.Successor()
-	if !ok || c.From.ID != succ.ID {
-		return // stale response from a node no longer our successor
-	}
-	m.stabSeen = true
-	if c.HasPred && c.Pred.ID != m.self.ID && m.space.Between(c.Pred.ID, m.self.ID, succ.ID) {
-		succ = c.Pred
-	}
-	// Rebuild the list: adopted successor first, then its successor list
-	// with ourselves trimmed out.
-	list := make([]Ref, 0, m.cfg.SuccListLen)
-	list = append(list, succ)
-	for _, r := range c.SuccList {
-		if r.ID == m.self.ID {
-			break
-		}
-		dup := false
-		for _, have := range list {
-			if have.ID == r.ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			list = append(list, r)
-		}
-		if len(list) == m.cfg.SuccListLen {
-			break
-		}
-	}
-	m.succList = list
-	// finger[0] is the successor of self+1, i.e. the successor itself on a
-	// converged ring: keep it hot without waiting for a repair cycle.
-	if len(m.finger) > 0 && succ.ID != m.self.ID {
+// adopted keeps finger[0] — the successor of self+1, i.e. the successor
+// itself on a converged ring — hot without waiting for a repair cycle.
+func (m *Machine) adopted(succ Ref) {
+	if len(m.finger) > 0 && succ.ID != m.self.ID && (!m.fingerOK[0] || m.finger[0] != succ) {
 		m.finger[0] = succ
 		m.fingerOK[0] = true
-	}
-	m.send(succ, Notify{From: m.self})
-}
-
-// considerPredecessor applies Chord's notify rule.
-func (m *Machine) considerPredecessor(p Ref) {
-	if p.ID == m.self.ID {
-		return
-	}
-	if m.pred == nil || m.pred.ID == m.self.ID || m.space.Between(p.ID, m.pred.ID, m.self.ID) {
-		r := p
-		m.pred = &r
-		m.predSeen = true
-		m.predMisses = 0
+		m.compactFingers()
 	}
 }
 
-// --- Periodic maintenance ---
-
-// stabilizeTick runs one maintenance round: account the previous round's
-// (non-)responses, then probe the successor and the predecessor.
-func (m *Machine) stabilizeTick() {
-	// The tick can rotate the successor list or drop the predecessor on any
-	// exit path, so republish unconditionally on the way out.
-	defer m.publishView()
-	m.stats.StabilizeRounds++
-	// Successor accounting.
-	succ, ok := m.Successor()
-	if ok && succ.ID != m.self.ID {
-		if m.stabSeen {
-			m.stabMisses = 0
-		} else {
-			m.stabMisses++
-			m.stats.StabilizeMisses++
-			if m.stabMisses >= m.cfg.MissThreshold {
-				// Presume the successor dead: rotate the list.
-				m.stabMisses = 0
-				m.stats.SuccRotations++
-				if len(m.succList) > 1 {
-					m.succList = m.succList[1:]
-				} else if m.pred != nil && m.pred.ID != m.self.ID {
-					m.succList = []Ref{*m.pred}
-				} else {
-					m.succList = []Ref{m.self}
-				}
-				succ, _ = m.Successor()
-			}
+// compactFingers rebuilds long from the finger table.
+func (m *Machine) compactFingers() {
+	m.long = m.long[:0]
+	for i, ok := range m.fingerOK {
+		if ok {
+			m.long = append(m.long, m.finger[i])
 		}
-	}
-	m.stabSeen = false
-
-	// Predecessor accounting.
-	if m.pred != nil && m.pred.ID != m.self.ID {
-		if m.predSeen {
-			m.predMisses = 0
-		} else {
-			m.predMisses++
-			if m.predMisses >= m.cfg.MissThreshold {
-				m.pred = nil
-				m.predMisses = 0
-				m.stats.PredDrops++
-			}
-		}
-	}
-	m.predSeen = false
-
-	if !ok {
-		return // not in a ring yet (join still in flight)
-	}
-	if succ.ID == m.self.ID {
-		// Ring bootstrap: while the successor is still ourselves, the
-		// first node that notified us becomes our successor — this is how
-		// a one-node ring grows, per the Chord paper.
-		if m.pred != nil && m.pred.ID != m.self.ID {
-			m.succList = []Ref{*m.pred}
-			succ = m.succList[0]
-		} else {
-			return // genuinely alone
-		}
-	}
-	m.send(succ, StabReq{From: m.self})
-	if m.pred != nil && m.pred.ID != m.self.ID {
-		m.send(*m.pred, PingReq{From: m.self})
 	}
 }
 
@@ -629,108 +162,19 @@ func (m *Machine) fixNextFinger() {
 	i := m.nextFinger
 	m.nextFinger = (m.nextFinger + 1) % len(m.finger)
 	if m.fingerTok[i] != 0 {
-		m.cancelFind(m.fingerTok[i])
+		m.CancelFind(m.fingerTok[i])
 		m.fingerTok[i] = 0
 	}
 	target := m.space.Add(m.self.ID, 1<<uint(i))
-	m.fingerTok[i] = m.findSuccessor(target, func(succ Ref) {
+	m.fingerTok[i] = m.Lookup(target, func(succ Ref) {
 		m.fingerTok[i] = 0
 		if !m.fingerOK[i] || m.finger[i].ID != succ.ID {
-			m.stats.FingerRepairs++
+			m.Counters().FingerRepairs++
 		}
 		m.finger[i] = succ
 		m.fingerOK[i] = true
+		m.compactFingers()
 	})
-	// A lookup the machine can answer itself resolves inline, mutating the
-	// finger table before findSuccessor returns — republish either way.
-	m.publishView()
-}
-
-// --- Lookups ---
-
-// FindSuccessor resolves the successor node of key and calls onResp on
-// the substrate's loop context. Unanswered lookups expire silently.
-func (m *Machine) FindSuccessor(key dht.Key, onResp func(Ref)) {
-	m.findSuccessor(m.space.Wrap(key), onResp)
-}
-
-func (m *Machine) findSuccessor(key dht.Key, onResp func(Ref)) uint64 {
-	tok := m.newToken()
-	pf := &pendingFind{onResp: onResp}
-	pf.timer = m.clk.Schedule(m.findExpiry(), func() { delete(m.pendFind, tok) })
-	m.pendFind[tok] = pf
-	m.handleFindReq(FindReq{
-		From: m.self, Token: tok, Target: key, TTL: m.cfg.FindTTL, ReplyTo: m.self,
-	})
-	return tok
-}
-
-// cancelFind forgets an outstanding lookup; a later answer carrying its
-// token is then stale by construction.
-func (m *Machine) cancelFind(tok uint64) {
-	if pf := m.pendFind[tok]; pf != nil {
-		delete(m.pendFind, tok)
-		pf.timer.Cancel()
-	}
-}
-
-func (m *Machine) newToken() uint64 {
-	m.nextToken++
-	return m.nextToken
-}
-
-// findExpiry is how long a pending lookup may stay unanswered.
-func (m *Machine) findExpiry() sim.Time {
-	p := m.cfg.StabilizeEvery
-	if p <= 0 {
-		p = m.cfg.JoinRetryEvery
-	}
-	return p * sim.Time(m.cfg.MissThreshold)
-}
-
-// --- Routing state accessors ---
-
-// Successor returns the raw head of the successor list.
-func (m *Machine) Successor() (Ref, bool) {
-	if len(m.succList) == 0 {
-		return Ref{}, false
-	}
-	return m.succList[0], true
-}
-
-// LiveSuccessor returns the first successor-list entry passing the alive
-// filter (the raw head when no filter is installed).
-func (m *Machine) LiveSuccessor() (Ref, bool) { return m.liveSuccessor() }
-
-func (m *Machine) liveSuccessor() (Ref, bool) {
-	for _, s := range m.succList {
-		if m.alive == nil || m.alive(s.ID) {
-			return s, true
-		}
-	}
-	return Ref{}, false
-}
-
-// Predecessor returns the raw predecessor pointer.
-func (m *Machine) Predecessor() (Ref, bool) {
-	if m.pred == nil {
-		return Ref{}, false
-	}
-	return *m.pred, true
-}
-
-// LivePredecessor returns the predecessor if known and passing the alive
-// filter.
-func (m *Machine) LivePredecessor() (Ref, bool) {
-	if m.pred == nil || (m.alive != nil && !m.alive(m.pred.ID)) {
-		return Ref{}, false
-	}
-	return *m.pred, true
-}
-
-// SuccessorList returns a copy of the successor list.
-func (m *Machine) SuccessorList() []Ref {
-	return append([]Ref(nil), m.succList...)
 }
 
 // Finger returns entry i of the finger table (the successor of
@@ -742,227 +186,4 @@ func (m *Machine) Finger(i int) (Ref, bool) {
 	return m.finger[i], true
 }
 
-// FingerCount returns the number of populated finger entries.
-func (m *Machine) FingerCount() int {
-	n := 0
-	for _, ok := range m.fingerOK {
-		if ok {
-			n++
-		}
-	}
-	return n
-}
-
-// EachRoutingEntry calls fn for every populated routing-state entry:
-// finger-table entries first (ascending), then the successor list.
-// Entries may repeat; callers dedup.
-func (m *Machine) EachRoutingEntry(fn func(Ref)) {
-	for i, ok := range m.fingerOK {
-		if ok {
-			fn(m.finger[i])
-		}
-	}
-	for _, s := range m.succList {
-		fn(s)
-	}
-}
-
-// Covers reports whether this node is the successor node of key: key in
-// (pred, self]. With no predecessor the node conservatively covers only
-// its own identifier (routing passes other keys to a stabilized neighbor
-// instead).
-func (m *Machine) Covers(key dht.Key) bool {
-	if m.pred == nil {
-		return key == m.self.ID
-	}
-	return m.space.BetweenIncl(key, m.pred.ID, m.self.ID)
-}
-
-// NextHop picks the forwarding target for key, per Chord's routing rule:
-// the successor when key lies in (self, succ], otherwise the closest
-// preceding routing entry (fingers then successor list), alive-filtered.
-func (m *Machine) NextHop(key dht.Key) (Ref, bool) {
-	succ, ok := m.liveSuccessor()
-	if !ok {
-		return Ref{}, false
-	}
-	if m.space.BetweenIncl(key, m.self.ID, succ.ID) {
-		return succ, true
-	}
-	if c, ok := m.ClosestPreceding(key); ok {
-		return c, true
-	}
-	return succ, true
-}
-
-// ClosestPreceding returns the routing-state entry that most immediately
-// precedes key — Chord's closest_preceding_finger, hardened against
-// entries rejected by the alive filter.
-func (m *Machine) ClosestPreceding(key dht.Key) (Ref, bool) {
-	best := Ref{}
-	found := false
-	consider := func(c Ref) {
-		if c.ID == m.self.ID || (m.alive != nil && !m.alive(c.ID)) {
-			return
-		}
-		if !m.space.Between(c.ID, m.self.ID, key) {
-			return
-		}
-		if !found || m.space.Between(best.ID, m.self.ID, c.ID) {
-			best, found = c, true
-		}
-	}
-	for i := len(m.finger) - 1; i >= 0; i-- {
-		if m.fingerOK[i] {
-			consider(m.finger[i])
-		}
-	}
-	for _, s := range m.succList {
-		consider(s)
-	}
-	return best, found
-}
-
-// --- Published routing view --------------------------------------------------
-
-// View is an immutable snapshot of the machine's routing state — self,
-// predecessor, successor list, populated fingers — published through an
-// atomic pointer so goroutines outside the loop can make routing decisions
-// (Covers, NextHop) wait-free. The live node's data-plane workers route
-// decoded frames against it without posting to the control loop.
-//
-// The view deliberately omits the alive filter: only the simulator installs
-// one, and the simulator never reads views (its event loop calls the
-// machine directly). View routing therefore mirrors the machine's
-// unfiltered behavior — exactly what the live transport runs.
-type View struct {
-	space dht.Space
-
-	// Self is the owning node.
-	Self Ref
-	// Pred is the predecessor when HasPred.
-	HasPred bool
-	Pred    Ref
-	// Succs is the successor list, nearest first. Empty until the node has
-	// joined a ring.
-	Succs []Ref
-	// Fingers holds the populated finger-table entries in ascending slot
-	// order (unpopulated slots are skipped).
-	Fingers []Ref
-}
-
-// publishView snapshots the current ring state. Loop-only, like every other
-// mutator.
-func (m *Machine) publishView() {
-	v := &View{space: m.space, Self: m.self}
-	if m.pred != nil {
-		v.HasPred, v.Pred = true, *m.pred
-	}
-	if len(m.succList) > 0 {
-		v.Succs = append(make([]Ref, 0, len(m.succList)), m.succList...)
-	}
-	for i, ok := range m.fingerOK {
-		if ok {
-			v.Fingers = append(v.Fingers, m.finger[i])
-		}
-	}
-	prev := m.view.Load()
-	m.view.Store(v)
-	if m.neighborWatch != nil && neighborhoodChanged(prev, v) {
-		m.neighborWatch()
-	}
-}
-
-// neighborhoodChanged reports whether the predecessor or first successor
-// differs between two views.
-func neighborhoodChanged(prev, cur *View) bool {
-	if prev == nil {
-		return cur.HasPred || len(cur.Succs) > 0
-	}
-	if prev.HasPred != cur.HasPred || (cur.HasPred && prev.Pred.ID != cur.Pred.ID) {
-		return true
-	}
-	ps, pok := prev.Successor()
-	cs, cok := cur.Successor()
-	return pok != cok || (cok && ps.ID != cs.ID)
-}
-
-// View returns the most recently published routing snapshot. Safe from any
-// goroutine; never nil. The static type is the substrate-neutral
-// overlay.View; the dynamic type is always *View.
-func (m *Machine) View() overlay.View { return m.view.Load() }
-
-// Joined reports whether the snapshot has ring state.
-func (v *View) Joined() bool { return len(v.Succs) > 0 }
-
-// Owner returns the node the snapshot belongs to.
-func (v *View) Owner() Ref { return v.Self }
-
-// SuccRefs returns the successor list (the snapshot's own slice; views are
-// immutable, so callers must not mutate it).
-func (v *View) SuccRefs() []Ref { return v.Succs }
-
-// Successor returns the head of the successor list.
-func (v *View) Successor() (Ref, bool) {
-	if len(v.Succs) == 0 {
-		return Ref{}, false
-	}
-	return v.Succs[0], true
-}
-
-// Predecessor returns the predecessor pointer.
-func (v *View) Predecessor() (Ref, bool) {
-	return v.Pred, v.HasPred
-}
-
-// Covers mirrors Machine.Covers: key in (pred, self], or exactly self when
-// no predecessor is known.
-func (v *View) Covers(key dht.Key) bool {
-	if !v.HasPred {
-		return key == v.Self.ID
-	}
-	return v.space.BetweenIncl(key, v.Pred.ID, v.Self.ID)
-}
-
-// NextHop mirrors Machine.NextHop without an alive filter: the successor
-// when key lies in (self, succ], otherwise the closest preceding routing
-// entry, falling back to the successor.
-func (v *View) NextHop(key dht.Key) (Ref, bool) {
-	succ, ok := v.Successor()
-	if !ok {
-		return Ref{}, false
-	}
-	if v.space.BetweenIncl(key, v.Self.ID, succ.ID) {
-		return succ, true
-	}
-	if c, ok := v.ClosestPreceding(key); ok {
-		return c, true
-	}
-	return succ, true
-}
-
-// ClosestPreceding mirrors Machine.ClosestPreceding without an alive
-// filter: fingers from the highest populated slot down, then the successor
-// list.
-func (v *View) ClosestPreceding(key dht.Key) (Ref, bool) {
-	best := Ref{}
-	found := false
-	consider := func(c Ref) {
-		if c.ID == v.Self.ID {
-			return
-		}
-		if !v.space.Between(c.ID, v.Self.ID, key) {
-			return
-		}
-		if !found || v.space.Between(best.ID, v.Self.ID, c.ID) {
-			best, found = c, true
-		}
-	}
-	for i := len(v.Fingers) - 1; i >= 0; i-- {
-		consider(v.Fingers[i])
-	}
-	for _, s := range v.Succs {
-		consider(s)
-	}
-	return best, found
-}
+var _ overlay.Machine = (*Machine)(nil)

@@ -11,8 +11,9 @@ import (
 // Membership operations (paper §II-B.1; Stoica et al. §IV-E).
 //
 // Join, graceful leave and crash failures are modelled. All periodic
-// maintenance — stabilize/notify, fix-fingers, predecessor liveness —
-// lives in the shared protocol state machine (internal/chord/protocol);
+// maintenance — stabilize/notify, long-link repair, predecessor
+// liveness — lives in the routing machine (the overlay.Ring backbone plus
+// the machine's long links);
 // the simulator only decides *when* messages arrive (after the per-hop
 // delay, via transmitControl) and *which* nodes are reachable. The same
 // machine, fed by TCP frames instead of engine events, runs the live

@@ -1,34 +1,39 @@
-// Package koorde implements the Koorde control plane (Kaashoek & Karger,
-// IPTPS 2003): a de Bruijn DHT embedded in the Chord identifier circle, as
-// one pure, message-driven state machine behind the substrate-neutral
-// overlay.Machine contract — the same contract the Chord machine
-// (internal/chord/protocol) implements, driven unchanged by the
-// discrete-event simulator and the live TCP transport.
+// Package koorde implements the Koorde machine (Kaashoek & Karger,
+// IPTPS 2003): a de Bruijn DHT embedded in the Chord identifier circle,
+// behind the substrate-neutral overlay.Machine contract and driven
+// unchanged by the discrete-event simulator and the live TCP transport.
 //
-// The ring substrate is deliberately identical to Chord's: successor
-// lists, stabilize/notify, miss-based failure detection, predecessor
-// pings. What changes is the long-distance routing state. Where Chord
-// keeps m fingers (successor(self+2^i)) and takes ~½·log2(N) hops per
-// lookup, Koorde keeps a constant-degree window of pointers around
-// k·self (k = 2^digitBits) — node self's image under the degree-k
-// de Bruijn graph — and routes by digit injection: each hop shifts
-// digitBits bits of the target key into an imaginary de Bruijn address
-// hosted on the current arc, taking ~log_k(N) + O(1) hops. At the paper's
-// 500-node scale with k = 16 that is ~3 hops against Chord's ~5, with 18
-// pointers per node against Chord's 32 fingers.
+// The ring itself — join, successor list, stabilize/notify, miss-based
+// failure detection, predecessor pings, pending lookups, the published
+// view — is the backbone both machines embed (overlay.Ring), speaking the
+// shared ring messages (tags 17-22). Koorde supplies only its long-
+// distance routing state and what maintains it. Where Chord keeps m
+// fingers (successor(self+2^i)) and takes ~½·log2(N) hops per lookup,
+// Koorde keeps a constant-degree window of pointers around k·self
+// (k = 2^digitBits) — node self's image under the degree-k de Bruijn
+// graph — and routes by digit injection: each hop shifts digitBits bits
+// of the target key into an imaginary de Bruijn address hosted on the
+// current arc, taking ~log_k(N) + O(1) hops. At the paper's 500-node
+// scale with k = 16 that is ~3 hops against Chord's ~5, with 18 pointers
+// per node against Chord's 32 fingers.
 //
-// Lookups (KFindReq) carry the de Bruijn walk state in the message, as in
-// the paper: the imaginary node I being forwarded toward and the number
-// of key digits still to inject. The node hosting I injects the next
-// digit (I ← k·I + digit); whenever a hop's own arc offers a strictly
-// shorter alignment it re-anchors the walk, which both starts fresh
-// lookups and heals stale state, and makes the digit count monotonically
-// decreasing — the walk provably terminates, with a TTL as backstop.
-// The stateless data-plane NextHop (per-message routing of application
-// traffic, where no walk state travels) is instead the monotone greedy
-// closest-preceding step over the constant-degree state; stateless
-// per-hop recomputation of the de Bruijn alignment can cycle after an
-// undershoot hop, so it is reserved for the stateful lookup path.
+// Lookups (KFindReq, tag 32) carry the de Bruijn walk state in the
+// message, as in the paper: the imaginary node I being forwarded toward
+// and the number of key digits still to inject. The node hosting I
+// injects the next digit (I ← k·I + digit); whenever a hop's own arc
+// offers a strictly shorter alignment it re-anchors the walk, which both
+// starts fresh lookups and heals stale state, and makes the digit count
+// monotonically decreasing — the walk provably terminates, with a TTL as
+// backstop. The stateless data-plane NextHop (the backbone's greedy
+// closest-preceding step over chain and successors) is used for
+// application traffic, where no walk state travels; stateless per-hop
+// recomputation of the de Bruijn alignment can cycle after an undershoot
+// hop, so it is reserved for the stateful lookup path and DigitHop.
+//
+// The chain is repaired by a probe of its head piggybacked on each
+// stabilize round (KStabReq/KStabResp with Chain set, tags 34/35), with
+// a full rebuild through a lookup of k·self and KDListReq/KDListResp
+// (tags 39/40) as the fallback.
 //
 // All methods must be called from the substrate's single event-loop
 // context (the engine goroutine in simulation, the clock.Wall loop live);
@@ -37,13 +42,10 @@ package koorde
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"streamdex/internal/clock"
 	"streamdex/internal/dht"
-	"streamdex/internal/metrics"
 	"streamdex/internal/overlay"
-	"streamdex/internal/sim"
 )
 
 // MachineName is the registry key of the Koorde machine.
@@ -65,14 +67,12 @@ const pointerWindow = Degree + 2
 
 func init() {
 	overlay.Register(overlay.Factory{
-		Name:      MachineName,
-		New:       newMachine,
+		Name: MachineName,
+		New: func(cfg overlay.Config, self Ref, clk clock.Clock, send func(to Ref, msg any)) overlay.Machine {
+			return New(cfg, self, clk, send)
+		},
 		Longlinks: Longlinks,
 	})
-}
-
-func newMachine(cfg overlay.Config, self Ref, clk clock.Clock, send func(to Ref, msg any)) overlay.Machine {
-	return New(cfg, self, clk, send)
 }
 
 // Longlinks computes the perfect de Bruijn pointer chain for a warm
@@ -113,48 +113,24 @@ func Longlinks(cfg overlay.Config, ring []dht.Key, self dht.Key) []Ref {
 	return out
 }
 
-// pendingFind tracks an outstanding successor lookup.
-type pendingFind struct {
-	onResp func(Ref)
-	timer  clock.Timer
-}
-
-// joinState tracks an in-flight join attempt.
-type joinState struct {
-	bootstrap Ref
-	token     uint64
-	retry     clock.Ticker
-	onJoined  func(Ref)
-}
-
-// Machine is one node's Koorde control-plane state machine.
+// Machine is one node's Koorde control-plane state machine: the ring
+// backbone plus the de Bruijn chain and its repair.
 type Machine struct {
+	*overlay.Ring
+
 	cfg   overlay.Config
 	space dht.Space
 	self  Ref
-	clk   clock.Clock
 	send  func(to Ref, msg any)
 
-	// alive is the optional routing-time liveness filter; nil trusts the
-	// message-learned state (the live transport's situation).
-	alive func(dht.Key) bool
-
-	// Ring state. debruijn is the pointer chain around k·self, kept in
-	// clockwise order from pred(k·self).
-	pred     *Ref
-	succList []Ref
+	// debruijn is the pointer chain around k·self, kept in clockwise order
+	// from pred(k·self).
 	debruijn []Ref
-
-	// Miss accounting (identical to the Chord machine's).
-	stabSeen   bool
-	stabMisses int
-	predSeen   bool
-	predMisses int
 
 	// Piggybacked chain-repair state. The chain head (debruijn[0], the
 	// believed pred(k·self) host) is probed on the stabilize round with a
-	// Chain-flagged KStabReq; misses rotate it out like a dead successor,
-	// and chainDirty requests the full KDListReq rebuild fallback.
+	// KStabReq; misses rotate it out like a dead successor, and chainDirty
+	// requests the full KDListReq rebuild fallback.
 	anchorSeen    bool
 	anchorProbing bool
 	anchorMisses  int
@@ -166,356 +142,99 @@ type Machine struct {
 	// winScratch holds the responder's clockwise window while the patch
 	// path brackets the image inside it.
 	winScratch []Ref
-
-	// Outstanding lookups.
-	nextToken uint64
-	pendFind  map[uint64]*pendingFind
-
-	join *joinState
-
-	tickers  []clock.Ticker
-	phaseSet bool
-	stabPh   sim.Time
-	fixPh    sim.Time
-
-	stopped bool
-
-	stats metrics.Ring
-
-	view atomic.Pointer[view]
-
-	neighborWatch func()
 }
 
 // New builds a machine for self. send is invoked synchronously (from
 // Handle and from timer callbacks) for every outgoing control message; the
-// substrate adapter owns delivery. Defaults mirror the Chord machine's.
+// substrate adapter owns delivery.
 func New(cfg overlay.Config, self Ref, clk clock.Clock, send func(to Ref, msg any)) *Machine {
-	if cfg.Space.M == 0 {
-		panic("koorde: config without identifier space")
-	}
-	if clk == nil || send == nil {
-		panic("koorde: machine without clock or send hook")
-	}
-	if cfg.SuccListLen <= 0 {
-		cfg.SuccListLen = 8
-	}
-	if cfg.MissThreshold <= 0 {
-		cfg.MissThreshold = 3
-	}
-	if cfg.FindTTL <= 0 {
-		cfg.FindTTL = 64
-	}
-	if cfg.JoinRetryEvery <= 0 {
-		if cfg.StabilizeEvery > 0 {
-			cfg.JoinRetryEvery = cfg.StabilizeEvery
-		} else {
-			cfg.JoinRetryEvery = 500 * sim.Millisecond
-		}
-	}
-	m := &Machine{
-		stats:    metrics.Ring{Machine: MachineName},
-		cfg:      cfg,
-		space:    cfg.Space,
-		self:     Ref{ID: cfg.Space.Wrap(self.ID), Addr: self.Addr},
-		clk:      clk,
-		send:     send,
-		pendFind: make(map[uint64]*pendingFind),
-	}
-	m.publishView()
+	m := &Machine{send: send}
+	m.Ring = overlay.NewRing(MachineName, cfg, self, clk, send, overlay.RingHooks{
+		FindReq:          m.findReq,
+		Handle:           m.handle,
+		Longlinks:        func() []Ref { return m.debruijn },
+		InstallLonglinks: func(l []Ref) { m.debruijn = append(m.debruijn[:0], l...) },
+		Repair:           m.fixPointers,
+		Probe:            m.chainProbe,
+	})
+	m.cfg, m.self = m.Config(), m.Self()
+	m.space = m.cfg.Space
 	return m
 }
 
-// SetAliveFilter installs the routing-time liveness filter (nil clears
-// it). Only next-hop candidate selection consults it; the maintenance
-// protocol never does.
-func (m *Machine) SetAliveFilter(alive func(dht.Key) bool) { m.alive = alive }
-
-// SetNeighborWatch installs (or clears, with nil) the neighborhood-change
-// callback, fired in machine context when a published view carries a
-// different predecessor or first successor than the previous one.
-func (m *Machine) SetNeighborWatch(fn func()) { m.neighborWatch = fn }
-
-// SetPhases fixes the initial delay of the two maintenance tickers.
-// Call before StartMaintenance.
-func (m *Machine) SetPhases(stabilize, repair sim.Time) {
-	m.phaseSet = true
-	m.stabPh, m.fixPh = stabilize, repair
-}
-
-// Name implements overlay.Machine.
-func (m *Machine) Name() string { return MachineName }
-
-// Self returns the machine's own ref.
-func (m *Machine) Self() Ref { return m.self }
-
-// Joined reports whether the machine has ring state (a successor list).
-func (m *Machine) Joined() bool { return len(m.succList) > 0 }
-
-// Stats returns a snapshot of the maintenance counters. FingerRepairs
-// counts de Bruijn pointer-chain rebuilds that changed the chain.
-func (m *Machine) Stats() metrics.Ring { return m.stats }
-
-// --- Lifecycle ---
-
-// Create bootstraps a brand-new one-node ring and starts maintenance.
-func (m *Machine) Create() {
-	if m.stopped {
-		return
-	}
-	p := m.self
-	m.pred = &p
-	m.succList = []Ref{m.self}
-	m.publishView()
-	m.StartMaintenance()
-}
-
-// Join enters an existing ring through bootstrap, retrying unanswered
-// lookups every JoinRetryEvery exactly like the Chord machine.
-func (m *Machine) Join(bootstrap Ref, onJoined func(Ref)) {
-	if m.stopped || m.Joined() || m.join != nil {
-		return
-	}
-	m.join = &joinState{bootstrap: bootstrap, onJoined: onJoined}
-	m.sendJoinFind()
-	m.join.retry = m.clk.EveryAfter(m.cfg.JoinRetryEvery, m.cfg.JoinRetryEvery, m.retryJoin)
-}
-
-// AbandonJoin cancels an in-flight join attempt (caller-side timeout).
-func (m *Machine) AbandonJoin() {
-	j := m.join
-	if j == nil {
-		return
-	}
-	m.join = nil
-	if j.retry != nil {
-		j.retry.Stop()
-	}
-	m.cancelFind(j.token)
-}
-
-func (m *Machine) sendJoinFind() {
-	j := m.join
-	m.cancelFind(j.token)
-	tok := m.newToken()
-	pf := &pendingFind{onResp: m.completeJoin}
-	pf.timer = m.clk.Schedule(m.findExpiry(), func() { delete(m.pendFind, tok) })
-	m.pendFind[tok] = pf
-	j.token = tok
-	m.send(j.bootstrap, KFindReq{
-		From: m.self, Token: tok, Target: m.self.ID, TTL: m.cfg.FindTTL,
+func (m *Machine) findReq(tok uint64, target dht.Key) any {
+	return KFindReq{
+		From: m.self, Token: tok, Target: target, TTL: m.cfg.FindTTL,
 		ReplyTo: m.self, Shift: ShiftNone,
-	})
-}
-
-func (m *Machine) retryJoin() {
-	if m.join == nil {
-		return
-	}
-	if _, pending := m.pendFind[m.join.token]; pending {
-		// The previous attempt is still inside its expiry window; retry
-		// only once the lookup has provably expired (see the Chord machine
-		// for the rationale).
-		return
-	}
-	m.sendJoinFind()
-}
-
-func (m *Machine) completeJoin(succ Ref) {
-	j := m.join
-	if j == nil {
-		return
-	}
-	m.join = nil
-	if j.retry != nil {
-		j.retry.Stop()
-	}
-	if succ.ID == m.self.ID {
-		succ = m.self
-	}
-	m.succList = []Ref{succ}
-	m.pred = nil
-	m.publishView()
-	m.StartMaintenance()
-	if j.onJoined != nil {
-		j.onJoined(succ)
 	}
 }
 
-// StartMaintenance launches the periodic stabilize and pointer-repair
-// tasks. Idempotent; a no-op when StabilizeEvery is zero.
-func (m *Machine) StartMaintenance() {
-	if m.stopped || len(m.tickers) > 0 || m.cfg.StabilizeEvery <= 0 {
-		return
-	}
-	stabPh, fixPh := m.cfg.StabilizeEvery, m.cfg.FixFingersEvery
-	if m.phaseSet {
-		stabPh, fixPh = m.stabPh, m.fixPh
-	}
-	m.tickers = append(m.tickers, m.clk.EveryAfter(stabPh, m.cfg.StabilizeEvery, m.stabilizeTick))
-	if m.cfg.FixFingersEvery > 0 {
-		m.tickers = append(m.tickers, m.clk.EveryAfter(fixPh, m.cfg.FixFingersEvery, m.fixPointers))
-	}
-}
-
-// Tick implements overlay.Machine: one stabilize round plus one pointer
-// repair, synchronously.
-func (m *Machine) Tick() {
-	if m.stopped {
-		return
-	}
-	m.stabilizeTick()
-	m.fixPointers()
-}
-
-// Stop halts maintenance and cancels outstanding lookups; the machine
-// ignores all further messages.
-func (m *Machine) Stop() {
-	m.stopped = true
-	for _, t := range m.tickers {
-		t.Stop()
-	}
-	m.tickers = nil
-	for tok, pf := range m.pendFind {
-		pf.timer.Cancel()
-		delete(m.pendFind, tok)
-	}
-	if m.join != nil && m.join.retry != nil {
-		m.join.retry.Stop()
-	}
-	m.join = nil
-}
-
-// --- Warm-start and splice mutators ---
-
-// InstallRing overwrites the machine's ring state wholesale: predecessor
-// (nil clears it), successor list, and — when longlinks is non-nil — the
-// de Bruijn pointer chain.
-func (m *Machine) InstallRing(pred *Ref, succList []Ref, longlinks []Ref) {
-	if pred != nil {
-		p := *pred
-		m.pred = &p
-	} else {
-		m.pred = nil
-	}
-	m.succList = append(m.succList[:0], succList...)
-	if longlinks != nil {
-		m.debruijn = append(m.debruijn[:0], longlinks...)
-	}
-	m.publishView()
-}
-
-// AdoptPredecessor force-sets the predecessor (graceful-leave splice).
-func (m *Machine) AdoptPredecessor(p Ref) {
-	r := p
-	m.pred = &r
-	m.predSeen = true
-	m.predMisses = 0
-	m.publishView()
-}
-
-// ClearPredecessor force-clears the predecessor (graceful-leave splice).
-func (m *Machine) ClearPredecessor() {
-	m.pred = nil
-	m.predMisses = 0
-	m.publishView()
-}
-
-// AdoptSuccessors force-replaces the successor list (graceful-leave
-// splice).
-func (m *Machine) AdoptSuccessors(list []Ref) {
-	m.succList = append(m.succList[:0], list...)
-	m.stabMisses = 0
-	m.publishView()
-}
-
-// --- Message handling ---
-
-// Handle consumes one decoded control message.
-func (m *Machine) Handle(msg any) {
-	if m.stopped {
-		return
-	}
+// handle consumes the Koorde-only messages: lookups and chain repair.
+// A KStabReq or KStabResp without Chain set is never sent (the successor
+// stabilize is the backbone's StabReq) and is ignored.
+func (m *Machine) handle(msg any) {
 	switch c := msg.(type) {
 	case KFindReq:
 		m.handleFindReq(c)
-	case KFindResp:
-		m.handleFindResp(c)
 	case KStabReq:
-		m.handleStabReq(c)
+		if c.Chain {
+			m.answerChainProbe(c)
+		}
 	case KStabResp:
-		m.handleStabResp(c)
-	case KNotify:
-		m.considerPredecessor(c.From)
-	case KPingReq:
-		m.send(c.From, KPingResp{From: m.self})
-	case KPingResp:
-		if m.pred != nil && c.From.ID == m.pred.ID {
-			m.predSeen = true
+		if c.Chain {
+			m.handleChainResp(c)
 		}
 	case KDListReq:
 		m.handleDListReq(c)
 	case KDListResp:
 		m.handleDListResp(c)
 	}
-	m.publishView()
 }
 
 // handleFindReq answers a successor lookup when the target falls on this
-// node's arc, otherwise advances the stateful de Bruijn walk: inject
-// digits while we host the imaginary node, re-anchor when our own arc
-// aligns strictly closer, then forward toward the imaginary node (or,
-// once every digit is spent, toward the target itself).
+// node's arc, otherwise advances the stateful de Bruijn walk one hop.
 func (m *Machine) handleFindReq(c KFindReq) {
-	if c.TTL <= 0 {
-		m.stats.FindDrops++
+	succ, forward := m.ServeFind(c.Token, c.Target, c.TTL, c.ReplyTo)
+	if !forward {
 		return
 	}
-	succ, ok := m.liveSuccessor()
+	next, img, shift, ok := m.advance(c.Target, c.I, c.Shift, succ)
 	if !ok {
-		return // not in a ring yet
-	}
-	if succ.ID == m.self.ID || m.space.BetweenIncl(c.Target, m.self.ID, succ.ID) {
-		answer := succ
-		if succ.ID == m.self.ID {
-			answer = m.self
-		}
-		if c.ReplyTo.ID == m.self.ID {
-			m.resolveFind(c.Token, answer)
-			return
-		}
-		m.send(c.ReplyTo, KFindResp{From: m.self, Token: c.Token, Succ: answer})
+		m.Counters().FindDrops++
 		return
 	}
-	if c.TTL <= 1 {
-		m.stats.FindDrops++
-		return
-	}
-	// Inject digits for as long as the imaginary node sits on our arc.
-	// (Bounded by Shift ≤ maxT; usually at most one digit per hop.)
-	for c.Shift != ShiftNone && c.Shift > 0 && m.space.BetweenIncl(c.I, m.self.ID, succ.ID) {
-		digit := (c.Target >> (digitBits * uint(c.Shift-1))) & (Degree - 1)
-		c.I = m.space.Wrap(c.I<<digitBits | digit)
-		c.Shift--
-	}
-	// Re-anchor when our arc aligns with the target in strictly fewer
-	// digits than the carried walk still needs (ShiftNone compares
-	// greater than any real digit count).
-	if i1, left, ok := debruijnStep(m.space, m.self.ID, succ.ID, c.Target); ok && left < c.Shift {
-		c.I, c.Shift = i1, left
-	}
-	goal := c.Target
-	if c.Shift != ShiftNone && c.Shift > 0 {
-		goal = c.I
-	}
-	next, ok := m.hopToward(goal, c.Target, succ)
-	if !ok || next.ID == m.self.ID {
-		m.stats.FindDrops++
-		return
-	}
+	c.I, c.Shift = img, shift
 	c.TTL--
 	c.From = m.self
 	m.send(next, c)
+}
+
+// advance is one hop of the de Bruijn walk toward target from a node
+// whose arc (self, succ] does not hold it: inject digits while the
+// imaginary address img sits on our arc, re-anchor when our own arc
+// aligns in strictly fewer digits than the carried walk still needs
+// (ShiftNone compares greater than any real digit count), then pick the
+// node to forward to — toward the imaginary node, or toward the target
+// once every digit is spent.
+func (m *Machine) advance(target, img dht.Key, shift uint8, succ Ref) (Ref, dht.Key, uint8, bool) {
+	// Bounded by shift ≤ maxT; usually at most one digit per hop.
+	for shift != ShiftNone && shift > 0 && m.space.BetweenIncl(img, m.self.ID, succ.ID) {
+		digit := (target >> (digitBits * uint(shift-1))) & (Degree - 1)
+		img = m.space.Wrap(img<<digitBits | digit)
+		shift--
+	}
+	if i1, left, ok := debruijnStep(m.space, m.self.ID, succ.ID, target); ok && left < shift {
+		img, shift = i1, left
+	}
+	goal := target
+	if shift != ShiftNone && shift > 0 {
+		goal = img
+	}
+	next, ok := m.hopToward(goal, target, succ)
+	if !ok || next.ID == m.self.ID {
+		return Ref{}, 0, 0, false
+	}
+	return next, img, shift, true
 }
 
 // hopToward picks the forwarding node for a walk headed at goal (an
@@ -532,86 +251,20 @@ func (m *Machine) hopToward(goal, target dht.Key, succ Ref) (Ref, bool) {
 	return succ, succ.ID != m.self.ID
 }
 
-func (m *Machine) handleFindResp(c KFindResp) {
-	if !m.resolveFind(c.Token, c.Succ) {
-		m.stats.StaleFindResps++
-	}
+// neighborhood is this node's predecessor and a copy of its successor
+// list, the window a chain probe or KDListReq asks for.
+func (m *Machine) neighborhood() (hasPred bool, pred Ref, succs []Ref) {
+	pred, hasPred = m.Predecessor()
+	return hasPred, pred, m.SuccessorList()
 }
 
-func (m *Machine) resolveFind(tok uint64, succ Ref) bool {
-	pf := m.pendFind[tok]
-	if pf == nil {
-		return false
-	}
-	delete(m.pendFind, tok)
-	pf.timer.Cancel()
-	pf.onResp(succ)
-	return true
-}
-
-func (m *Machine) handleStabReq(c KStabReq) {
-	resp := KStabResp{
-		From: m.self, Chain: c.Chain, Image: c.Image,
-		SuccList: append([]Ref(nil), m.succList...),
-	}
-	if m.pred != nil {
-		resp.HasPred, resp.Pred = true, *m.pred
-	}
+// answerChainProbe reports our neighborhood to the node whose image we
+// are believed to host. The prober is usually far away, so unlike a
+// StabReq it never becomes a predecessor candidate.
+func (m *Machine) answerChainProbe(c KStabReq) {
+	resp := KStabResp{From: m.self, Chain: true, Image: c.Image}
+	resp.HasPred, resp.Pred, resp.SuccList = m.neighborhood()
 	m.send(c.From, resp)
-	if !c.Chain {
-		// A chain probe comes from whoever we host the image for —
-		// usually a far-away node that must not become our predecessor.
-		m.considerPredecessor(c.From)
-	}
-}
-
-func (m *Machine) handleStabResp(c KStabResp) {
-	if c.Chain {
-		m.handleChainResp(c)
-		return
-	}
-	succ, ok := m.Successor()
-	if !ok || c.From.ID != succ.ID {
-		return // stale response from a node no longer our successor
-	}
-	m.stabSeen = true
-	if c.HasPred && c.Pred.ID != m.self.ID && m.space.Between(c.Pred.ID, m.self.ID, succ.ID) {
-		succ = c.Pred
-	}
-	list := make([]Ref, 0, m.cfg.SuccListLen)
-	list = append(list, succ)
-	for _, r := range c.SuccList {
-		if r.ID == m.self.ID {
-			break
-		}
-		dup := false
-		for _, have := range list {
-			if have.ID == r.ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			list = append(list, r)
-		}
-		if len(list) == m.cfg.SuccListLen {
-			break
-		}
-	}
-	m.succList = list
-	m.send(succ, KNotify{From: m.self})
-}
-
-func (m *Machine) considerPredecessor(p Ref) {
-	if p.ID == m.self.ID {
-		return
-	}
-	if m.pred == nil || m.pred.ID == m.self.ID || m.space.Between(p.ID, m.pred.ID, m.self.ID) {
-		r := p
-		m.pred = &r
-		m.predSeen = true
-		m.predMisses = 0
-	}
 }
 
 // handleChainResp patches the de Bruijn chain from the anchor's
@@ -669,7 +322,7 @@ func (m *Machine) handleChainResp(c KStabResp) {
 		return
 	}
 	if !refsEqual(m.debruijn, chain) {
-		m.stats.FingerRepairs++
+		m.Counters().FingerRepairs++
 	}
 	m.debruijn, m.chainScratch = chain, m.debruijn[:0]
 }
@@ -705,10 +358,8 @@ func (m *Machine) chainProbe() {
 // handleDListReq reports our neighborhood to a node rebuilding its
 // de Bruijn pointer chain (we host its k·self).
 func (m *Machine) handleDListReq(c KDListReq) {
-	resp := KDListResp{From: m.self, SuccList: append([]Ref(nil), m.succList...)}
-	if m.pred != nil {
-		resp.HasPred, resp.Pred = true, *m.pred
-	}
+	resp := KDListResp{From: m.self}
+	resp.HasPred, resp.Pred, resp.SuccList = m.neighborhood()
 	m.send(c.From, resp)
 }
 
@@ -736,7 +387,7 @@ func (m *Machine) handleDListResp(c KDListResp) {
 		add(r)
 	}
 	if !refsEqual(m.debruijn, chain) {
-		m.stats.FingerRepairs++
+		m.Counters().FingerRepairs++
 	}
 	m.debruijn, m.chainScratch = chain, m.debruijn[:0]
 	m.anchorMisses = 0
@@ -755,69 +406,6 @@ func refsEqual(a, b []Ref) bool {
 	return true
 }
 
-// --- Periodic maintenance ---
-
-// stabilizeTick is byte-for-byte the Chord machine's round over the K*
-// message types: account the previous round's (non-)responses, rotate or
-// drop presumed-dead neighbors, then probe successor and predecessor.
-func (m *Machine) stabilizeTick() {
-	defer m.publishView()
-	m.stats.StabilizeRounds++
-	succ, ok := m.Successor()
-	if ok && succ.ID != m.self.ID {
-		if m.stabSeen {
-			m.stabMisses = 0
-		} else {
-			m.stabMisses++
-			m.stats.StabilizeMisses++
-			if m.stabMisses >= m.cfg.MissThreshold {
-				m.stabMisses = 0
-				m.stats.SuccRotations++
-				if len(m.succList) > 1 {
-					m.succList = m.succList[1:]
-				} else if m.pred != nil && m.pred.ID != m.self.ID {
-					m.succList = []Ref{*m.pred}
-				} else {
-					m.succList = []Ref{m.self}
-				}
-				succ, _ = m.Successor()
-			}
-		}
-	}
-	m.stabSeen = false
-
-	if m.pred != nil && m.pred.ID != m.self.ID {
-		if m.predSeen {
-			m.predMisses = 0
-		} else {
-			m.predMisses++
-			if m.predMisses >= m.cfg.MissThreshold {
-				m.pred = nil
-				m.predMisses = 0
-				m.stats.PredDrops++
-			}
-		}
-	}
-	m.predSeen = false
-
-	if !ok {
-		return // not in a ring yet (join still in flight)
-	}
-	if succ.ID == m.self.ID {
-		if m.pred != nil && m.pred.ID != m.self.ID {
-			m.succList = []Ref{*m.pred}
-			succ = m.succList[0]
-		} else {
-			return // genuinely alone
-		}
-	}
-	m.send(succ, KStabReq{From: m.self})
-	if m.pred != nil && m.pred.ID != m.self.ID {
-		m.send(*m.pred, KPingReq{From: m.self})
-	}
-	m.chainProbe()
-}
-
 // fixPointers is the chain-repair fallback: resolve the node hosting
 // k·self with a full lookup, then ask it for its neighborhood
 // (KDListReq). In steady state the piggybacked probe on the stabilize
@@ -832,199 +420,23 @@ func (m *Machine) fixPointers() {
 	if succ.ID == m.self.ID {
 		// Alone: the image arc is ours too; no pointers needed.
 		m.debruijn = m.debruijn[:0]
-		m.publishView()
 		return
 	}
 	if len(m.debruijn) > 0 && !m.chainDirty {
 		return
 	}
 	m.chainDirty = false
-	target := m.space.Wrap(m.self.ID << digitBits)
-	m.findSuccessor(target, func(host Ref) {
+	m.Lookup(m.space.Wrap(m.self.ID<<digitBits), func(host Ref) {
 		if host.ID == m.self.ID {
 			// We host k·self ourselves: the chain starts at our own
 			// neighborhood.
-			m.handleDListResp(KDListResp{
-				From:     m.self,
-				HasPred:  m.pred != nil,
-				Pred:     derefOr(m.pred, m.self),
-				SuccList: append([]Ref(nil), m.succList...),
-			})
-			m.publishView()
+			resp := KDListResp{From: m.self}
+			resp.HasPred, resp.Pred, resp.SuccList = m.neighborhood()
+			m.handleDListResp(resp)
 			return
 		}
 		m.send(host, KDListReq{From: m.self})
 	})
-	m.publishView()
-}
-
-func derefOr(p *Ref, def Ref) Ref {
-	if p == nil {
-		return def
-	}
-	return *p
-}
-
-// --- Lookups ---
-
-// FindSuccessor resolves the successor node of key and calls onResp on
-// the substrate's loop context. Unanswered lookups expire silently.
-func (m *Machine) FindSuccessor(key dht.Key, onResp func(Ref)) {
-	m.findSuccessor(m.space.Wrap(key), onResp)
-}
-
-func (m *Machine) findSuccessor(key dht.Key, onResp func(Ref)) uint64 {
-	tok := m.newToken()
-	pf := &pendingFind{onResp: onResp}
-	pf.timer = m.clk.Schedule(m.findExpiry(), func() { delete(m.pendFind, tok) })
-	m.pendFind[tok] = pf
-	m.handleFindReq(KFindReq{
-		From: m.self, Token: tok, Target: key, TTL: m.cfg.FindTTL,
-		ReplyTo: m.self, Shift: ShiftNone,
-	})
-	return tok
-}
-
-func (m *Machine) cancelFind(tok uint64) {
-	if pf := m.pendFind[tok]; pf != nil {
-		delete(m.pendFind, tok)
-		pf.timer.Cancel()
-	}
-}
-
-func (m *Machine) newToken() uint64 {
-	m.nextToken++
-	return m.nextToken
-}
-
-func (m *Machine) findExpiry() sim.Time {
-	p := m.cfg.StabilizeEvery
-	if p <= 0 {
-		p = m.cfg.JoinRetryEvery
-	}
-	return p * sim.Time(m.cfg.MissThreshold)
-}
-
-// --- Routing state accessors ---
-
-// Successor returns the raw head of the successor list.
-func (m *Machine) Successor() (Ref, bool) {
-	if len(m.succList) == 0 {
-		return Ref{}, false
-	}
-	return m.succList[0], true
-}
-
-// LiveSuccessor returns the first successor-list entry passing the alive
-// filter.
-func (m *Machine) LiveSuccessor() (Ref, bool) { return m.liveSuccessor() }
-
-func (m *Machine) liveSuccessor() (Ref, bool) {
-	for _, s := range m.succList {
-		if m.alive == nil || m.alive(s.ID) {
-			return s, true
-		}
-	}
-	return Ref{}, false
-}
-
-// Predecessor returns the raw predecessor pointer.
-func (m *Machine) Predecessor() (Ref, bool) {
-	if m.pred == nil {
-		return Ref{}, false
-	}
-	return *m.pred, true
-}
-
-// LivePredecessor returns the predecessor if known and passing the alive
-// filter.
-func (m *Machine) LivePredecessor() (Ref, bool) {
-	if m.pred == nil || (m.alive != nil && !m.alive(m.pred.ID)) {
-		return Ref{}, false
-	}
-	return *m.pred, true
-}
-
-// SuccessorList returns a copy of the successor list.
-func (m *Machine) SuccessorList() []Ref {
-	return append([]Ref(nil), m.succList...)
-}
-
-// DeBruijnList returns a copy of the de Bruijn pointer chain (for tests
-// and the parity harness).
-func (m *Machine) DeBruijnList() []Ref {
-	return append([]Ref(nil), m.debruijn...)
-}
-
-// LonglinkCount implements overlay.Machine: installed de Bruijn pointers.
-func (m *Machine) LonglinkCount() int { return len(m.debruijn) }
-
-// EachRoutingEntry calls fn for every routing-state entry: the de Bruijn
-// chain first, then the successor list. Entries may repeat; callers dedup.
-func (m *Machine) EachRoutingEntry(fn func(Ref)) {
-	for _, d := range m.debruijn {
-		fn(d)
-	}
-	for _, s := range m.succList {
-		fn(s)
-	}
-}
-
-// Covers reports whether this node is the successor node of key: key in
-// (pred, self].
-func (m *Machine) Covers(key dht.Key) bool {
-	if m.pred == nil {
-		return key == m.self.ID
-	}
-	return m.space.BetweenIncl(key, m.pred.ID, m.self.ID)
-}
-
-// NextHop picks the forwarding target for key: the successor when key
-// lies in (self, succ]; otherwise the greedy closest-preceding entry
-// from the constant-degree routing state (de Bruijn chain + successor
-// list). Per-message data-plane routing carries no walk state, and the
-// de Bruijn alignment recomputed statelessly at each hop can cycle, so
-// the stateful walk is reserved for KFindReq lookups; the greedy step is
-// strictly clockwise and therefore always terminates.
-func (m *Machine) NextHop(key dht.Key) (Ref, bool) {
-	succ, ok := m.liveSuccessor()
-	if !ok {
-		return Ref{}, false
-	}
-	if m.space.BetweenIncl(key, m.self.ID, succ.ID) {
-		return succ, true
-	}
-	if c, ok := m.ClosestPreceding(key); ok {
-		return c, true
-	}
-	return succ, true
-}
-
-// ClosestPreceding returns the routing-state entry that most immediately
-// precedes key — the greedy fallback step, hardened against entries
-// rejected by the alive filter. Candidates are the de Bruijn chain and
-// the successor list.
-func (m *Machine) ClosestPreceding(key dht.Key) (Ref, bool) {
-	best := Ref{}
-	found := false
-	consider := func(c Ref) {
-		if c.ID == m.self.ID || (m.alive != nil && !m.alive(c.ID)) {
-			return
-		}
-		if !m.space.Between(c.ID, m.self.ID, key) {
-			return
-		}
-		if !found || m.space.Between(best.ID, m.self.ID, c.ID) {
-			best, found = c, true
-		}
-	}
-	for _, d := range m.debruijn {
-		consider(d)
-	}
-	for _, s := range m.succList {
-		consider(s)
-	}
-	return best, found
 }
 
 // splitLeafNodes is the sub-arc size (in estimated covered nodes) the
@@ -1042,11 +454,12 @@ const splitLeafNodes = 4
 // node count is estimated from the successor-list density — the only
 // membership information a Koorde node holds.
 func (m *Machine) SplitHeads(lo, hi dht.Key) []dht.Key {
-	last := len(m.succList) - 1
-	if last < 0 || m.succList[last].ID == m.self.ID {
+	succs := m.SuccRefs()
+	last := len(succs) - 1
+	if last < 0 || succs[last].ID == m.self.ID {
 		return nil
 	}
-	span := m.space.Distance(m.self.ID, m.succList[last].ID)
+	span := m.space.Distance(m.self.ID, succs[last].ID)
 	gap := span / uint64(last+1)
 	if gap == 0 {
 		return nil
@@ -1083,30 +496,14 @@ func (m *Machine) SplitHeads(lo, hi dht.Key) []dht.Key {
 // spent). The walk state travels in the message (dht.Message.SplitImg /
 // SplitShift), never in the machine.
 func (m *Machine) DigitHop(target, img dht.Key, shift uint8) (Ref, dht.Key, uint8, bool) {
-	succ, ok := m.liveSuccessor()
+	succ, ok := m.LiveSuccessor()
 	if !ok || succ.ID == m.self.ID {
 		return Ref{}, 0, 0, false
 	}
 	if m.space.BetweenIncl(target, m.self.ID, succ.ID) {
 		return succ, img, shift, true
 	}
-	for shift != ShiftNone && shift > 0 && m.space.BetweenIncl(img, m.self.ID, succ.ID) {
-		digit := (target >> (digitBits * uint(shift-1))) & (Degree - 1)
-		img = m.space.Wrap(img<<digitBits | digit)
-		shift--
-	}
-	if i1, left, ok := debruijnStep(m.space, m.self.ID, succ.ID, target); ok && left < shift {
-		img, shift = i1, left
-	}
-	goal := target
-	if shift != ShiftNone && shift > 0 {
-		goal = img
-	}
-	next, ok := m.hopToward(goal, target, succ)
-	if !ok || next.ID == m.self.ID {
-		return Ref{}, 0, 0, false
-	}
-	return next, img, shift, true
+	return m.advance(target, img, shift, succ)
 }
 
 // closestTo returns the best known live node in (self, i1) — the real
@@ -1120,7 +517,7 @@ func (m *Machine) closestTo(i1 dht.Key) (Ref, bool) {
 	bestDist := uint64(0)
 	found := false
 	consider := func(c Ref) {
-		if m.alive != nil && !m.alive(c.ID) {
+		if !m.Alive(c.ID) {
 			return
 		}
 		if !m.space.Between(c.ID, m.self.ID, i1) {
@@ -1134,7 +531,7 @@ func (m *Machine) closestTo(i1 dht.Key) (Ref, bool) {
 	for _, d := range m.debruijn {
 		consider(d)
 	}
-	for _, s := range m.succList {
+	for _, s := range m.SuccRefs() {
 		consider(s)
 	}
 	return best, found
@@ -1180,126 +577,9 @@ func debruijnStep(space dht.Space, self, succ, key dht.Key) (dht.Key, uint8, boo
 	return 0, 0, false
 }
 
-// --- Published routing view -------------------------------------------------
-
-// view is the immutable snapshot published for lock-free data-plane
-// routing, mirroring the machine's unfiltered decisions.
-type view struct {
-	space    dht.Space
-	self     Ref
-	hasPred  bool
-	pred     Ref
-	succs    []Ref
-	debruijn []Ref
-}
-
-func (m *Machine) publishView() {
-	v := &view{space: m.space, self: m.self}
-	if m.pred != nil {
-		v.hasPred, v.pred = true, *m.pred
-	}
-	if len(m.succList) > 0 {
-		v.succs = append(make([]Ref, 0, len(m.succList)), m.succList...)
-	}
-	if len(m.debruijn) > 0 {
-		v.debruijn = append(make([]Ref, 0, len(m.debruijn)), m.debruijn...)
-	}
-	prev := m.view.Load()
-	m.view.Store(v)
-	if m.neighborWatch != nil && neighborhoodChanged(prev, v) {
-		m.neighborWatch()
-	}
-}
-
-func neighborhoodChanged(prev, cur *view) bool {
-	if prev == nil {
-		return cur.hasPred || len(cur.succs) > 0
-	}
-	if prev.hasPred != cur.hasPred || (cur.hasPred && prev.pred.ID != cur.pred.ID) {
-		return true
-	}
-	ps, pok := prev.Successor()
-	cs, cok := cur.Successor()
-	return pok != cok || (cok && ps.ID != cs.ID)
-}
-
-// View returns the most recently published routing snapshot. Safe from
-// any goroutine; never nil.
-func (m *Machine) View() overlay.View { return m.view.Load() }
-
-// Joined reports whether the snapshot has ring state.
-func (v *view) Joined() bool { return len(v.succs) > 0 }
-
-// Owner returns the node the snapshot belongs to.
-func (v *view) Owner() Ref { return v.self }
-
-// Successor returns the head of the successor list.
-func (v *view) Successor() (Ref, bool) {
-	if len(v.succs) == 0 {
-		return Ref{}, false
-	}
-	return v.succs[0], true
-}
-
-// Predecessor returns the predecessor pointer.
-func (v *view) Predecessor() (Ref, bool) { return v.pred, v.hasPred }
-
-// SuccRefs returns the successor list (the snapshot's own slice; views
-// are immutable, so callers must not mutate it).
-func (v *view) SuccRefs() []Ref { return v.succs }
-
-// Covers mirrors Machine.Covers.
-func (v *view) Covers(key dht.Key) bool {
-	if !v.hasPred {
-		return key == v.self.ID
-	}
-	return v.space.BetweenIncl(key, v.pred.ID, v.self.ID)
-}
-
-// NextHop mirrors Machine.NextHop without an alive filter.
-func (v *view) NextHop(key dht.Key) (Ref, bool) {
-	succ, ok := v.Successor()
-	if !ok {
-		return Ref{}, false
-	}
-	if v.space.BetweenIncl(key, v.self.ID, succ.ID) {
-		return succ, true
-	}
-	if c, ok := v.ClosestPreceding(key); ok {
-		return c, true
-	}
-	return succ, true
-}
-
-// ClosestPreceding mirrors Machine.ClosestPreceding without an alive
-// filter.
-func (v *view) ClosestPreceding(key dht.Key) (Ref, bool) {
-	best := Ref{}
-	found := false
-	consider := func(c Ref) {
-		if c.ID == v.self.ID {
-			return
-		}
-		if !v.space.Between(c.ID, v.self.ID, key) {
-			return
-		}
-		if !found || v.space.Between(best.ID, v.self.ID, c.ID) {
-			best, found = c, true
-		}
-	}
-	for _, d := range v.debruijn {
-		consider(d)
-	}
-	for _, s := range v.succs {
-		consider(s)
-	}
-	return best, found
-}
-
 // Compile-time contract checks.
 var (
 	_ overlay.Machine     = (*Machine)(nil)
-	_ overlay.View        = (*view)(nil)
 	_ overlay.ArcSplitter = (*Machine)(nil)
 	_ overlay.DigitRouter = (*Machine)(nil)
 )

@@ -243,36 +243,10 @@ func TestLookupHopsOracleRing(t *testing.T) {
 	t.Logf("mean lookup forwards %.2f over %d lookups", mean, trials)
 }
 
-// TestViewMatchesMachine checks that the published lock-free snapshot
-// makes the same unfiltered routing decisions as the machine.
-func TestViewMatchesMachine(t *testing.T) {
-	space := dht.NewSpace(16)
-	ids := uniformIDs(space, 64, 0xabcd)
-	nodes := buildRing(space, ids, 8)
-	for _, id := range ids {
-		m := nodes[id]
-		v := m.View()
-		if !v.Joined() || v.Owner().ID != id {
-			t.Fatalf("node %d: view owner %v joined=%v", id, v.Owner(), v.Joined())
-		}
-		if p, _ := m.Predecessor(); func() dht.Key { r, _ := v.Predecessor(); return r.ID }() != p.ID {
-			t.Fatalf("node %d: view predecessor mismatch", id)
-		}
-		for probe := 0; probe < 64; probe++ {
-			key := dht.Key((probe * 1021) % (1 << 16))
-			mh, mok := m.NextHop(key)
-			vh, vok := v.NextHop(key)
-			if mok != vok || mh.ID != vh.ID {
-				t.Fatalf("node %d key %d: machine hop (%v,%v) view hop (%v,%v)", id, key, mh.ID, mok, vh.ID, vok)
-			}
-			if m.Covers(key) != v.Covers(key) {
-				t.Fatalf("node %d key %d: covers mismatch", id, key)
-			}
-			mc, mcok := m.ClosestPreceding(key)
-			vc, vcok := v.ClosestPreceding(key)
-			if mcok != vcok || mc.ID != vc.ID {
-				t.Fatalf("node %d key %d: closest-preceding mismatch", id, key)
-			}
-		}
+func refIDs(rs []Ref) []dht.Key {
+	ids := make([]dht.Key, len(rs))
+	for i, r := range rs {
+		ids[i] = r.ID
 	}
+	return ids
 }

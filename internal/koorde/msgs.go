@@ -1,29 +1,28 @@
 package koorde
 
-// Control-plane message kinds of the Koorde machine and their wire codecs.
+// Control-plane messages of the Koorde machine and their wire codecs. The
+// successor ring runs on the backbone's shared messages (overlay.FindResp,
+// StabReq, StabResp, Notify, PingReq, PingResp); these are the Koorde-only
+// ones:
 //
-// The maintenance exchanges mirror Chord's — the ring substrate (successor
-// lists, stabilize/notify, liveness pings) is identical; only the
-// long-distance links differ — but they are distinct types with distinct
-// tags: a Koorde cluster and a Chord cluster speak related yet different
-// protocols, and a mixed cluster must fail loudly at decode, not converge
-// by accident.
-//
-//   - KFindReq/KFindResp: locate the successor node of a key. Routed with
-//     the de Bruijn rule (with greedy fallback); the node covering the key
-//     answers the requester directly. Used by join and pointer repair.
-//   - KStabReq/KStabResp: stabilize. The successor reports its predecessor
-//     and successor list; the requester adopts a closer successor when one
-//     appears and then notifies.
-//   - KNotify: "I might be your predecessor."
-//   - KPingReq/KPingResp: predecessor liveness probe.
-//   - KDListReq/KDListResp: de Bruijn pointer repair. The node hosting
+//   - KFindReq: locate the successor node of a key, routed as a stateful
+//     de Bruijn walk (with greedy fallback); the node covering the key
+//     answers the requester with an overlay.FindResp. Used by join and
+//     chain repair.
+//   - KStabReq/KStabResp: the chain probe. The node believed to host
 //     k·self reports its predecessor and successor list, from which the
-//     requester rebuilds its pointer chain.
+//     requester patches its pointer chain.
+//   - KDListReq/KDListResp: the full chain rebuild through the node found
+//     to host k·self.
+//
+// Every binary registers both machines' codecs, so in a mixed Chord/Koorde
+// cluster every frame decodes: a Chord node receiving a KFindReq, or a
+// Koorde node receiving a FindReq, ignores it silently, and a joiner of
+// the wrong machine family times out instead of being absorbed. Nothing
+// rejects the foreign node loudly; a machine handshake at join is the
+// open fix (ROADMAP item 1(iii)).
 
 import (
-	"fmt"
-
 	"streamdex/internal/dht"
 	"streamdex/internal/overlay"
 	"streamdex/internal/wire"
@@ -45,7 +44,8 @@ const ShiftNone uint8 = 0xff
 // become Target itself and the walk finishes along successors. Any hop
 // whose own arc offers a strictly shorter alignment re-anchors the walk,
 // which both starts fresh lookups and heals stale state. Whoever covers
-// the target replies to ReplyTo with a KFindResp carrying the same Token.
+// the target replies to ReplyTo with an overlay.FindResp carrying the
+// same Token.
 type KFindReq struct {
 	From    Ref // sending hop (identity + reply address)
 	Token   uint64
@@ -56,31 +56,19 @@ type KFindReq struct {
 	Shift   uint8   // digits of Target still to inject; ShiftNone = unanchored
 }
 
-// KFindResp answers a KFindReq: Succ is the successor node of the
-// requested target. Token matches the request; responses whose token is no
-// longer pending are discarded as stale.
-type KFindResp struct {
-	From  Ref
-	Token uint64
-	Succ  Ref
-}
-
-// KStabReq asks the receiver — the sender's believed successor — for its
-// predecessor and successor list. With Chain set it is instead the
-// piggybacked de Bruijn repair probe: the receiver is the sender's chain
-// head (its believed pred(k·self) host), Image carries k·self, and the
-// receiver must answer with the same neighborhood shape but without
-// treating the far-away requester as a predecessor candidate.
+// KStabReq is the chain probe: the receiver is the sender's chain head
+// (its believed pred(k·self) host) and Image carries k·self. The machine
+// sends it only with Chain set and ignores one without; the flag stays on
+// the wire so the layout is unchanged.
 type KStabReq struct {
 	From  Ref
 	Chain bool
 	Image dht.Key
 }
 
-// KStabResp is the successor's view: its predecessor (when known) and its
-// successor list, from which the requester refreshes its own. Chain and
-// Image echo the request so the requester can patch its pointer chain
-// (Chain set) instead of its successor list.
+// KStabResp answers a chain probe with the responder's predecessor (when
+// known) and successor list; Chain and Image echo the request so the
+// requester can check the reply still matches the image it chases.
 type KStabResp struct {
 	From     Ref
 	HasPred  bool
@@ -88,21 +76,6 @@ type KStabResp struct {
 	SuccList []Ref
 	Chain    bool
 	Image    dht.Key
-}
-
-// KNotify tells the receiver the sender might be its predecessor.
-type KNotify struct {
-	From Ref
-}
-
-// KPingReq probes a neighbor for liveness.
-type KPingReq struct {
-	From Ref
-}
-
-// KPingResp answers a KPingReq.
-type KPingResp struct {
-	From Ref
 }
 
 // KDListReq asks the receiver — the node found to host k·self — for its
@@ -121,123 +94,45 @@ type KDListResp struct {
 	SuccList []Ref
 }
 
-// Packed payload codec tags. One byte on the wire after the envelope; both
-// ends of a connection must agree, so these values are protocol, not
-// implementation detail: never renumber, only append. Tags 1-9 belong to
-// the middleware payloads, 16-22 to the Chord control plane, 23-29 to the
-// continuous-query engine, 30-31 to load balancing; the Koorde control
-// plane takes 32-40.
+// Packed payload codec tags (see overlay's tag table): never renumber,
+// never reuse. 33 and 36-38 are retired.
 const (
-	tagKFindReq uint8 = iota + 32
-	tagKFindResp
-	tagKStabReq
-	tagKStabResp
-	tagKNotify
-	tagKPingReq
-	tagKPingResp
-	tagKDListReq
-	tagKDListResp
+	tagKFindReq   uint8 = 32
+	tagKStabReq   uint8 = 34
+	tagKStabResp  uint8 = 35
+	tagKDListReq  uint8 = 39
+	tagKDListResp uint8 = 40
 )
 
 func init() {
-	wire.RegisterPackedPayload(tagKFindReq, KFindReq{}, codecFuncs{encKFindReq, decKFindReq})
-	wire.RegisterPackedPayload(tagKFindResp, KFindResp{}, codecFuncs{encKFindResp, decKFindResp})
-	wire.RegisterPackedPayload(tagKStabReq, KStabReq{}, codecFuncs{encKStabReq, decKStabReq})
-	wire.RegisterPackedPayload(tagKStabResp, KStabResp{}, codecFuncs{encKStabResp, decKStabResp})
-	wire.RegisterPackedPayload(tagKNotify, KNotify{}, codecFuncs{encKNotify, decKNotify})
-	wire.RegisterPackedPayload(tagKPingReq, KPingReq{}, codecFuncs{encKPingReq, decKPingReq})
-	wire.RegisterPackedPayload(tagKPingResp, KPingResp{}, codecFuncs{encKPingResp, decKPingResp})
-	wire.RegisterPackedPayload(tagKDListReq, KDListReq{}, codecFuncs{encKDListReq, decKDListReq})
-	wire.RegisterPackedPayload(tagKDListResp, KDListResp{}, codecFuncs{encKDListResp, decKDListResp})
-}
-
-// codecFuncs adapts an encode/decode function pair to wire.PayloadCodec.
-type codecFuncs struct {
-	enc func(dst []byte, p any) ([]byte, error)
-	dec func(data []byte) (any, error)
-}
-
-func (c codecFuncs) Append(dst []byte, p any) ([]byte, error) { return c.enc(dst, p) }
-func (c codecFuncs) Decode(data []byte) (any, error)          { return c.dec(data) }
-
-func errType(want string, got any) error {
-	return fmt.Errorf("koorde: codec for %s got %T", want, got)
-}
-
-// --- Ref: id(uvar) | addr(string) ---
-
-func appendRef(dst []byte, r Ref) []byte {
-	dst = wire.AppendUvarint(dst, uint64(r.ID))
-	return wire.AppendString(dst, r.Addr)
-}
-
-func readRef(r *wire.Reader) Ref {
-	id := dht.Key(r.Uvarint())
-	addr := r.String()
-	return Ref{ID: id, Addr: addr}
-}
-
-// appendNeighborhood / readNeighborhood pack the shared shape of
-// KStabResp and KDListResp: hasPred(bool) | [pred(ref)] | count(uvar) |
-// succ refs.
-func appendNeighborhood(dst []byte, hasPred bool, pred Ref, succList []Ref) []byte {
-	dst = wire.AppendBool(dst, hasPred)
-	if hasPred {
-		dst = appendRef(dst, pred)
-	}
-	dst = wire.AppendUvarint(dst, uint64(len(succList)))
-	for _, s := range succList {
-		dst = appendRef(dst, s)
-	}
-	return dst
-}
-
-func readNeighborhood(r *wire.Reader) (hasPred bool, pred Ref, succList []Ref) {
-	hasPred = r.Bool()
-	if hasPred {
-		pred = readRef(r)
-	}
-	n := r.Uvarint()
-	// Each ref is at least two bytes (one-byte id varint, zero-length
-	// addr), so a count exceeding half the remaining bytes is corrupt.
-	if n > uint64(r.Len())/2 {
-		r.Failf("koorde: %d successor refs with %d bytes remaining", n, r.Len())
-	}
-	if r.Err() == nil && n > 0 {
-		succList = make([]Ref, n)
-		for i := range succList {
-			succList[i] = readRef(r)
-		}
-	}
-	return hasPred, pred, succList
+	wire.RegisterPackedPayload(tagKFindReq, KFindReq{}, overlay.RingCodec(encKFindReq, decKFindReq))
+	wire.RegisterPackedPayload(tagKStabReq, KStabReq{}, overlay.RingCodec(encKStabReq, decKStabReq))
+	wire.RegisterPackedPayload(tagKStabResp, KStabResp{}, overlay.RingCodec(encKStabResp, decKStabResp))
+	wire.RegisterPackedPayload(tagKDListReq, KDListReq{}, overlay.RingCodec(encKDListReq, decKDListReq))
+	wire.RegisterPackedPayload(tagKDListResp, KDListResp{}, overlay.RingCodec(encKDListResp, decKDListResp))
 }
 
 // --- KFindReq: from(ref) | token(uvar) | target(uvar) | ttl(var) |
 //     replyTo(ref) | i(uvar) | shift(uvar) ---
 
-func encKFindReq(dst []byte, p any) ([]byte, error) {
-	c, ok := p.(KFindReq)
-	if !ok {
-		return nil, errType("KFindReq", p)
-	}
-	dst = appendRef(dst, c.From)
+func encKFindReq(dst []byte, c KFindReq) []byte {
+	dst = overlay.AppendRef(dst, c.From)
 	dst = wire.AppendUvarint(dst, c.Token)
 	dst = wire.AppendUvarint(dst, uint64(c.Target))
 	dst = wire.AppendVarint(dst, int64(c.TTL))
-	dst = appendRef(dst, c.ReplyTo)
+	dst = overlay.AppendRef(dst, c.ReplyTo)
 	dst = wire.AppendUvarint(dst, uint64(c.I))
-	dst = wire.AppendUvarint(dst, uint64(c.Shift))
-	return dst, nil
+	return wire.AppendUvarint(dst, uint64(c.Shift))
 }
 
 func decKFindReq(data []byte) (any, error) {
 	r := wire.NewReader(data)
 	var c KFindReq
-	c.From = readRef(&r)
+	c.From = overlay.ReadRef(&r)
 	c.Token = r.Uvarint()
 	c.Target = dht.Key(r.Uvarint())
 	c.TTL = int(r.Varint())
-	c.ReplyTo = readRef(&r)
+	c.ReplyTo = overlay.ReadRef(&r)
 	c.I = dht.Key(r.Uvarint())
 	c.Shift = uint8(r.Uvarint())
 	if err := r.Done(); err != nil {
@@ -246,49 +141,20 @@ func decKFindReq(data []byte) (any, error) {
 	return c, nil
 }
 
-// --- KFindResp: from(ref) | token(uvar) | succ(ref) ---
-
-func encKFindResp(dst []byte, p any) ([]byte, error) {
-	c, ok := p.(KFindResp)
-	if !ok {
-		return nil, errType("KFindResp", p)
-	}
-	dst = appendRef(dst, c.From)
-	dst = wire.AppendUvarint(dst, c.Token)
-	dst = appendRef(dst, c.Succ)
-	return dst, nil
-}
-
-func decKFindResp(data []byte) (any, error) {
-	r := wire.NewReader(data)
-	var c KFindResp
-	c.From = readRef(&r)
-	c.Token = r.Uvarint()
-	c.Succ = readRef(&r)
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // --- KStabReq: from(ref) | chain(bool) | [image(uvar)] ---
 
-func encKStabReq(dst []byte, p any) ([]byte, error) {
-	c, ok := p.(KStabReq)
-	if !ok {
-		return nil, errType("KStabReq", p)
-	}
-	dst = appendRef(dst, c.From)
+func encKStabReq(dst []byte, c KStabReq) []byte {
+	dst = overlay.AppendRef(dst, c.From)
 	dst = wire.AppendBool(dst, c.Chain)
 	if c.Chain {
 		dst = wire.AppendUvarint(dst, uint64(c.Image))
 	}
-	return dst, nil
+	return dst
 }
 
 func decKStabReq(data []byte) (any, error) {
 	r := wire.NewReader(data)
-	c := KStabReq{From: readRef(&r)}
+	c := KStabReq{From: overlay.ReadRef(&r)}
 	c.Chain = r.Bool()
 	if c.Chain {
 		c.Image = dht.Key(r.Uvarint())
@@ -301,25 +167,21 @@ func decKStabReq(data []byte) (any, error) {
 
 // --- KStabResp: from(ref) | neighborhood | chain(bool) | [image(uvar)] ---
 
-func encKStabResp(dst []byte, p any) ([]byte, error) {
-	c, ok := p.(KStabResp)
-	if !ok {
-		return nil, errType("KStabResp", p)
-	}
-	dst = appendRef(dst, c.From)
-	dst = appendNeighborhood(dst, c.HasPred, c.Pred, c.SuccList)
+func encKStabResp(dst []byte, c KStabResp) []byte {
+	dst = overlay.AppendRef(dst, c.From)
+	dst = overlay.AppendNeighborhood(dst, c.HasPred, c.Pred, c.SuccList)
 	dst = wire.AppendBool(dst, c.Chain)
 	if c.Chain {
 		dst = wire.AppendUvarint(dst, uint64(c.Image))
 	}
-	return dst, nil
+	return dst
 }
 
 func decKStabResp(data []byte) (any, error) {
 	r := wire.NewReader(data)
 	var c KStabResp
-	c.From = readRef(&r)
-	c.HasPred, c.Pred, c.SuccList = readNeighborhood(&r)
+	c.From = overlay.ReadRef(&r)
+	c.HasPred, c.Pred, c.SuccList = overlay.ReadNeighborhood(&r)
 	c.Chain = r.Bool()
 	if c.Chain {
 		c.Image = dht.Key(r.Uvarint())
@@ -330,70 +192,13 @@ func decKStabResp(data []byte) (any, error) {
 	return c, nil
 }
 
-// --- KNotify / KPingReq / KPingResp / KDListReq: from(ref) ---
+// --- KDListReq: from(ref) ---
 
-func encKNotify(dst []byte, p any) ([]byte, error) {
-	c, ok := p.(KNotify)
-	if !ok {
-		return nil, errType("KNotify", p)
-	}
-	return appendRef(dst, c.From), nil
-}
-
-func decKNotify(data []byte) (any, error) {
-	r := wire.NewReader(data)
-	c := KNotify{From: readRef(&r)}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func encKPingReq(dst []byte, p any) ([]byte, error) {
-	c, ok := p.(KPingReq)
-	if !ok {
-		return nil, errType("KPingReq", p)
-	}
-	return appendRef(dst, c.From), nil
-}
-
-func decKPingReq(data []byte) (any, error) {
-	r := wire.NewReader(data)
-	c := KPingReq{From: readRef(&r)}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func encKPingResp(dst []byte, p any) ([]byte, error) {
-	c, ok := p.(KPingResp)
-	if !ok {
-		return nil, errType("KPingResp", p)
-	}
-	return appendRef(dst, c.From), nil
-}
-
-func decKPingResp(data []byte) (any, error) {
-	r := wire.NewReader(data)
-	c := KPingResp{From: readRef(&r)}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func encKDListReq(dst []byte, p any) ([]byte, error) {
-	c, ok := p.(KDListReq)
-	if !ok {
-		return nil, errType("KDListReq", p)
-	}
-	return appendRef(dst, c.From), nil
-}
+func encKDListReq(dst []byte, c KDListReq) []byte { return overlay.AppendRef(dst, c.From) }
 
 func decKDListReq(data []byte) (any, error) {
 	r := wire.NewReader(data)
-	c := KDListReq{From: readRef(&r)}
+	c := KDListReq{From: overlay.ReadRef(&r)}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
@@ -402,20 +207,16 @@ func decKDListReq(data []byte) (any, error) {
 
 // --- KDListResp: from(ref) | neighborhood ---
 
-func encKDListResp(dst []byte, p any) ([]byte, error) {
-	c, ok := p.(KDListResp)
-	if !ok {
-		return nil, errType("KDListResp", p)
-	}
-	dst = appendRef(dst, c.From)
-	return appendNeighborhood(dst, c.HasPred, c.Pred, c.SuccList), nil
+func encKDListResp(dst []byte, c KDListResp) []byte {
+	dst = overlay.AppendRef(dst, c.From)
+	return overlay.AppendNeighborhood(dst, c.HasPred, c.Pred, c.SuccList)
 }
 
 func decKDListResp(data []byte) (any, error) {
 	r := wire.NewReader(data)
 	var c KDListResp
-	c.From = readRef(&r)
-	c.HasPred, c.Pred, c.SuccList = readNeighborhood(&r)
+	c.From = overlay.ReadRef(&r)
+	c.HasPred, c.Pred, c.SuccList = overlay.ReadNeighborhood(&r)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}

@@ -37,10 +37,10 @@ func TestChainPatchFromStabPiggyback(t *testing.T) {
 	cfg := overlay.Config{Space: space}
 	for _, self := range ids[:16] {
 		m := nodes[self]
-		anchor := m.DeBruijnList()[0].ID
+		anchor := m.debruijn[0].ID
 		resp := chainRespFor(space, ids, self, anchor, 8)
 		m.Handle(resp)
-		chain := m.DeBruijnList()
+		chain := append([]Ref(nil), m.debruijn...)
 		if len(chain) == 0 {
 			t.Fatalf("node %d: empty chain after piggyback patch", self)
 		}
@@ -69,14 +69,14 @@ func TestChainPatchDivergenceKeepsChain(t *testing.T) {
 	nodes := buildRing(space, ids, 8)
 	self := ids[3]
 	m := nodes[self]
-	before := m.DeBruijnList()
+	before := append([]Ref(nil), m.debruijn...)
 	// A window far from the image: the anchor 64 ring positions away.
 	at := sort.Search(len(ids), func(i int) bool { return ids[i] >= before[0].ID })
 	far := ids[(at+64)%len(ids)]
 	resp := chainRespFor(space, ids, self, far, 8)
 	resp.Image = space.Wrap(self << digitBits)
 	m.Handle(resp)
-	after := m.DeBruijnList()
+	after := append([]Ref(nil), m.debruijn...)
 	if len(after) != len(before) {
 		t.Fatalf("divergent window rewrote the chain: %d -> %d entries", len(before), len(after))
 	}
@@ -104,7 +104,7 @@ func TestChainProbeSkipsPredecessorAdoption(t *testing.T) {
 	if p, _ := m.Predecessor(); p.ID != pred.ID {
 		t.Fatalf("chain probe adopted predecessor %d, want %d kept", p.ID, pred.ID)
 	}
-	m.Handle(KStabReq{From: closer})
+	m.Handle(overlay.StabReq{From: closer})
 	if p, _ := m.Predecessor(); p.ID != closer.ID {
 		t.Fatalf("plain stabilize kept predecessor %d, want %d adopted", p.ID, closer.ID)
 	}
@@ -121,7 +121,7 @@ func TestChainRepairAllocs(t *testing.T) {
 	nodes := buildRing(space, ids, 8)
 	self := ids[7]
 	m := nodes[self]
-	anchor := m.DeBruijnList()[0].ID
+	anchor := m.debruijn[0].ID
 	stab := chainRespFor(space, ids, self, anchor, 8)
 	dlist := KDListResp{
 		From: stab.From, HasPred: stab.HasPred, Pred: stab.Pred,

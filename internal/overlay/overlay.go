@@ -1,15 +1,17 @@
-// Package overlay defines the substrate-neutral control-plane contract:
-// the routing Machine interface every DHT protocol machine implements, the
-// immutable View snapshot that data-plane workers route on without locks,
-// and a registry keyed by machine name so simulators and live nodes can
-// construct any registered substrate from a -substrate flag.
+// Package overlay defines the substrate-neutral control plane: the
+// routing Machine interface, the immutable View snapshot that data-plane
+// workers route on without locks, a registry keyed by machine name so
+// simulators and live nodes can construct any registered substrate from a
+// -substrate flag, and the ring backbone (Ring, ring.go) with its shared
+// messages (ringmsgs.go) that every machine embeds.
 //
 // The paper's middleware claims independence from the underlying
 // content-based routing layer (§II-B); this package is that claim made
-// structural. internal/chord/protocol registers the Chord machine,
-// internal/koorde registers the de Bruijn machine, and neither the
-// simulated substrate (internal/chord.Network) nor the live socket
-// adapter (internal/transport.Node) knows which one it is driving.
+// structural. internal/chord/protocol registers the Chord machine (the
+// backbone plus fingers), internal/koorde the de Bruijn machine (the
+// backbone plus a de Bruijn chain), and neither the simulated substrate
+// (internal/chord.Network) nor the live socket adapter
+// (internal/transport.Node) knows which one it is driving.
 package overlay
 
 import (
@@ -35,8 +37,8 @@ type Ref struct {
 	Addr string
 }
 
-// Config carries the substrate-independent protocol parameters. Machines
-// apply their own defaults for zero values (see each implementation).
+// Config carries the substrate-independent protocol parameters. Zero
+// values take the defaults NewRing documents.
 type Config struct {
 	// Space is the identifier universe.
 	Space dht.Space

@@ -7,22 +7,92 @@ import (
 	"streamdex/internal/chord"
 	"streamdex/internal/chord/protocol"
 	"streamdex/internal/dht"
+	"streamdex/internal/koorde"
 	"streamdex/internal/metrics"
 	"streamdex/internal/overlay"
 	"streamdex/internal/sim"
 )
 
-// TestControlPlaneParitySimVsLive is the one-control-plane acceptance test:
-// a simulated Chord node and a live transport node are two adapters around
-// the same protocol machine, so when both start from the identical ring
-// snapshot and consume the identical control-message trace, they must make
-// bit-for-bit identical successor decisions — predecessor, successor list,
-// next-hop choice and key coverage — after every single message.
+// parityRow is one machine's share of the parity trace: its own lookup
+// request, built from random walk state where the machine has any, and
+// (for Koorde) its chain-repair messages.
+type parityRow struct {
+	lookup func(next func(uint64) uint64, from, replyTo overlay.Ref, tok uint64, target dht.Key, ttl int) any
+	own    func(next func(uint64) uint64, pick func() overlay.Ref, image dht.Key) any
+}
+
+var parityRows = map[string]parityRow{
+	protocol.MachineName: {
+		lookup: func(_ func(uint64) uint64, from, replyTo overlay.Ref, tok uint64, target dht.Key, ttl int) any {
+			return protocol.FindReq{From: from, Token: tok, Target: target, TTL: ttl, ReplyTo: replyTo}
+		},
+	},
+	koorde.MachineName: {
+		lookup: func(next func(uint64) uint64, from, replyTo overlay.Ref, tok uint64, target dht.Key, ttl int) any {
+			req := koorde.KFindReq{From: from, Token: tok, Target: target, TTL: ttl, ReplyTo: replyTo}
+			switch next(3) {
+			case 0:
+				req.Shift = koorde.ShiftNone // unanchored
+			case 1:
+				req.I, req.Shift = dht.Key(next(1<<16)), uint8(next(4)) // mid-walk
+			case 2:
+				req.I, req.Shift = req.Target, 0 // exhausted
+			}
+			return req
+		},
+		own: func(next func(uint64) uint64, pick func() overlay.Ref, image dht.Key) any {
+			switch next(4) {
+			case 0:
+				return koorde.KDListReq{From: pick()}
+			case 1:
+				dr := koorde.KDListResp{From: pick(), SuccList: []overlay.Ref{pick(), pick(), pick()}}
+				if next(2) == 0 {
+					dr.HasPred, dr.Pred = true, pick()
+				}
+				return dr
+			case 2:
+				return koorde.KStabReq{From: pick(), Chain: true, Image: dht.Key(next(1 << 16))}
+			default:
+				// A chain-probe answer, usually for the image the node
+				// chases (a patch), sometimes for a stale one.
+				cr := koorde.KStabResp{From: pick(), Chain: true, Image: image, SuccList: []overlay.Ref{pick(), pick(), pick()}}
+				if next(4) == 0 {
+					cr.Image = dht.Key(next(1 << 16))
+				}
+				if next(2) == 0 {
+					cr.HasPred, cr.Pred = true, pick()
+				}
+				return cr
+			}
+		},
+	},
+}
+
+// TestControlPlaneParitySimVsLive is the one-control-plane acceptance test,
+// run for every registered machine: a simulated node and a live transport
+// node are two adapters around the same machine, so when both start from
+// the identical ring snapshot (predecessor, successor list, long links)
+// and consume the identical control-message trace — lookups in the
+// machine's own request type (Koorde's in fresh, mid-walk and exhausted
+// walk states), stale find answers, stabilize exchanges, notifies, pings,
+// and Koorde's chain probes and KDList repairs — they must make
+// bit-for-bit identical decisions — predecessor, successor list, long
+// links, next-hop choice and key coverage — after every single message.
 //
-// Neither machine runs maintenance here (no tickers are started); the trace
-// is the only input, so any divergence is a real decision difference
-// between the substrates, not scheduling noise.
+// Neither machine runs maintenance here (no tickers are started); the
+// trace is the only input, so any divergence is a real decision difference
+// between the substrates, not scheduling noise. Runs under -race in CI.
 func TestControlPlaneParitySimVsLive(t *testing.T) {
+	for _, name := range overlay.Names() {
+		row, ok := parityRows[name]
+		if !ok {
+			t.Fatalf("no parity row for registered machine %q", name)
+		}
+		t.Run(name, func(t *testing.T) { checkParity(t, name, row) })
+	}
+}
+
+func checkParity(t *testing.T, name string, row parityRow) {
 	space := dht.NewSpace(16)
 	ids := []dht.Key{100, 9000, 21000, 40000, 61000}
 
@@ -30,84 +100,83 @@ func TestControlPlaneParitySimVsLive(t *testing.T) {
 	// machine. The engine is never run, so the trace below is its sole
 	// stimulus.
 	eng := sim.NewEngine()
-	net := chord.New(eng, chord.Config{Space: space, HopDelay: sim.Millisecond, SuccListLen: 4})
+	net := chord.New(eng, chord.Config{Space: space, HopDelay: sim.Millisecond, SuccListLen: 4, Machine: name})
 	net.BuildStable(ids, nil)
-	simM := net.Node(ids[2]).Protocol()
+	simM := net.Node(ids[2]).Machine()
 
-	// Live side: one real transport node with the same identifier, given
-	// the same ring snapshot. Maintenance is configured but never started
-	// (InstallRing does not start tickers), so it too sees only the trace.
+	// Live side: one real transport node with the same identifier and
+	// machine, given the same ring snapshot. Maintenance is configured but
+	// never started (InstallRing does not start tickers), so it too sees
+	// only the trace.
 	node, err := New(Config{
 		ID: ids[2], Listen: "127.0.0.1:0", Space: space,
 		StabilizeEvery: 500_000, FixFingersEvery: 250_000, SuccListLen: 4,
+		Machine: name,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer node.Close()
 
-	var pred *protocol.Ref
+	var pred *overlay.Ref
 	if p, ok := simM.Predecessor(); ok {
-		pp := p
-		pred = &pp
+		pred = &p
 	}
 	succList := simM.SuccessorList()
-	fingers := make([]protocol.Ref, 0, space.M)
-	for i := 0; i < int(space.M); i++ {
-		f, ok := simM.Finger(i)
-		if !ok {
-			t.Fatalf("sim finger %d unpopulated after BuildStable", i)
-		}
-		fingers = append(fingers, f)
+	long := simM.View().(*overlay.RingView).Long
+	if len(long) == 0 {
+		t.Fatal("sim long links unpopulated after BuildStable")
 	}
-	node.Do(func() { node.ring.InstallRing(pred, succList, fingers) })
+	node.Do(func() { node.ring.InstallRing(pred, succList, long) })
 
-	// Deterministic trace over ring-member refs: lookups (including TTL
-	// exhaustion), stale find answers, stabilize exchanges (some from the
-	// actual successor, some from bystanders), notifies and pings.
-	members := make([]protocol.Ref, len(ids))
+	// Deterministic trace over ring-member refs.
+	members := make([]overlay.Ref, len(ids))
 	for i, id := range ids {
-		members[i] = protocol.Ref{ID: id}
+		members[i] = overlay.Ref{ID: id}
 	}
 	rnd := uint64(0x9e3779b97f4a7c15)
 	next := func(n uint64) uint64 {
 		rnd = rnd*6364136223846793005 + 1442695040888963407
 		return (rnd >> 33) % n
 	}
+	pick := func() overlay.Ref { return members[next(5)] }
+	image := space.Wrap(ids[2] * koorde.Degree)
+	kinds := uint64(6)
+	if row.own != nil {
+		kinds++
+	}
 	var trace []any
 	for i := 0; i < 200; i++ {
-		switch next(6) {
+		switch next(kinds) {
 		case 0:
-			trace = append(trace, protocol.FindReq{
-				From: members[next(5)], Token: 1000 + uint64(i),
-				Target: dht.Key(next(1 << 16)), TTL: int(next(8)), ReplyTo: members[next(5)],
-			})
+			from, tok := pick(), 1000+uint64(i)
+			target, ttl := dht.Key(next(1<<16)), int(next(8))
+			trace = append(trace, row.lookup(next, from, pick(), tok, target, ttl))
 		case 1:
-			trace = append(trace, protocol.FindResp{From: members[next(5)], Token: next(2000), Succ: members[next(5)]})
+			trace = append(trace, overlay.FindResp{From: pick(), Token: next(2000), Succ: pick()})
 		case 2:
-			trace = append(trace, protocol.StabReq{From: members[next(5)]})
+			trace = append(trace, overlay.StabReq{From: pick()})
 		case 3:
-			sr := protocol.StabResp{
-				From:     members[next(5)],
-				SuccList: []protocol.Ref{members[next(5)], members[next(5)], members[next(5)]},
-			}
+			sr := overlay.StabResp{From: pick(), SuccList: []overlay.Ref{pick(), pick(), pick()}}
 			if next(2) == 0 {
-				sr.HasPred, sr.Pred = true, members[next(5)]
+				sr.HasPred, sr.Pred = true, pick()
 			}
 			trace = append(trace, sr)
 		case 4:
-			trace = append(trace, protocol.Notify{From: members[next(5)]})
+			trace = append(trace, overlay.Notify{From: pick()})
 		case 5:
 			if next(2) == 0 {
-				trace = append(trace, protocol.PingReq{From: members[next(5)]})
+				trace = append(trace, overlay.PingReq{From: pick()})
 			} else {
-				trace = append(trace, protocol.PingResp{From: members[next(5)]})
+				trace = append(trace, overlay.PingResp{From: pick()})
 			}
+		case 6:
+			trace = append(trace, row.own(next, pick, image))
 		}
 	}
 
 	probes := []dht.Key{0, 101, 8999, 9000, 21000, 21001, 39999, 52000, 61001, 65535}
-	type snap struct{ pred, succ, hops, covers string }
+	type snap struct{ pred, succ, long, hops, covers string }
 	take := func(m overlay.Machine) snap {
 		var s snap
 		if p, ok := m.Predecessor(); ok {
@@ -115,6 +184,9 @@ func TestControlPlaneParitySimVsLive(t *testing.T) {
 		}
 		for _, r := range m.SuccessorList() {
 			s.succ += fmt.Sprint(r.ID, ",")
+		}
+		for _, r := range m.View().(*overlay.RingView).Long {
+			s.long += fmt.Sprint(r.ID, ",")
 		}
 		for _, k := range probes {
 			if h, ok := m.NextHop(k); ok {
@@ -146,7 +218,13 @@ func TestControlPlaneParitySimVsLive(t *testing.T) {
 	if simStats := simM.Stats(); simStats != liveStats {
 		t.Fatalf("stats diverged:\n sim  %+v\n live %+v", simStats, liveStats)
 	}
+	if liveStats.Machine != name {
+		t.Fatalf("stats carry machine %q, want %q", liveStats.Machine, name)
+	}
 	if liveStats.StaleFindResps == 0 || liveStats.FindDrops == 0 {
 		t.Fatalf("trace failed to exercise stale answers and TTL drops: %+v", liveStats)
+	}
+	if row.own != nil && liveStats.FingerRepairs == 0 {
+		t.Fatalf("trace failed to exercise long-link repairs: %+v", liveStats)
 	}
 }

@@ -19,9 +19,10 @@ import (
 //     reaches the covering node; a direct frame is for the receiving
 //     neighbor itself (the SendToSuccessor/SendToPredecessor primitives).
 //   - frameControl also carries a wire.Marshal-encoded dht.Message, whose
-//     payload is one of the protocol package's ring-maintenance messages
-//     (find/stabilize/notify/ping) under protocol.KindRing, packed by the
-//     codec-v2 registry like any other payload.
+//     payload is one of the routing machine's ring-maintenance messages
+//     (lookup/stabilize/notify/ping, plus Koorde's chain repair) under
+//     overlay.KindRing, packed by the codec-v2 registry like any other
+//     payload.
 //
 // The length prefix covers the type byte plus body, so a reader can skip
 // frames of unknown type without understanding them.

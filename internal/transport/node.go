@@ -22,9 +22,10 @@
 //     node's clock.Wall loop. Reader goroutines only decode bytes and post
 //     closures; writer goroutines only drain their queue. The middleware's
 //     single-threaded simulation code therefore runs unmodified.
-//   - Ring: successor/predecessor pointers and fingers are maintained by
-//     the shared Chord protocol state machine (internal/chord/protocol) —
-//     the same code the simulator runs — adapted to sockets in ring.go.
+//   - Ring: successor/predecessor pointers and long links are maintained
+//     by the routing machine Config.Machine names (the ring backbone plus
+//     Chord fingers or the Koorde chain) — the same code the simulator
+//     runs — adapted to sockets in ring.go.
 package transport
 
 import (

@@ -12,18 +12,19 @@ import (
 
 // Ring maintenance adapter.
 //
-// The control plane itself — join, find_successor routing,
-// stabilize/notify, successor-list rotation, long-link repair,
-// predecessor liveness — lives in the shared routing machine selected by
-// Config.Machine (internal/chord/protocol or internal/koorde), the exact
-// code the simulator drives through its event engine. This file only
-// adapts it to sockets: outgoing (dest, message) pairs are framed with
-// the packed wire codec v2 and handed to the peer writers; inbound
-// control frames are decoded off-loop and fed to Machine.Handle on the
-// loop. There is no transport-private control record: what travels is
-// the machine family's own message types under overlay.KindRing, so the
-// bytes charged to the simulator's observer for a maintenance message are
-// the bytes a live socket carries.
+// The control plane itself lives in the routing machine selected by
+// Config.Machine — the exact code the simulator drives through its event
+// engine. Every machine embeds one ring backbone (overlay.Ring: join,
+// successor list, stabilize/notify, predecessor pings, pending lookups)
+// and adds its own long links and lookup routing (internal/chord/protocol
+// fingers, internal/koorde de Bruijn chain). This file only adapts it to
+// sockets: outgoing (dest, message) pairs are framed with the packed wire
+// codec v2 and handed to the peer writers; inbound control frames are
+// decoded off-loop and fed to Machine.Handle on the loop. There is no
+// transport-private control record: what travels is the backbone's and
+// the machine's own message types under overlay.KindRing, so the bytes
+// charged to the simulator's observer for a maintenance message are the
+// bytes a live socket carries.
 
 // Create bootstraps a brand-new one-node ring.
 func (n *Node) Create() {

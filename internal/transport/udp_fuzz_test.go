@@ -78,16 +78,17 @@ func fuzzSeedMessages() []*dht.Message {
 		}},
 		{Kind: core.KindReplica, Key: 1, Src: 2, Payload: core.ReplicaMsg{MBR: mbr, TTL: 2}},
 		{Kind: core.KindLoad, Key: 1, Src: 2, Payload: core.LoadMsg{Loads: []float64{7.5, 1.25}}},
-		// Koorde control payloads. Control frames never travel UDP, but the
-		// datagram dispatcher must reject (not trust) whatever arrives, so
-		// the corpus seeds every registered codec, walk state included.
+		// Ring control payloads, Koorde's and the backbone's. Control
+		// frames never travel UDP, but the datagram dispatcher must reject
+		// (not trust) whatever arrives, so the corpus seeds every
+		// registered codec, walk state included.
 		{Kind: overlay.KindRing, Key: 1, Src: 2, Payload: koorde.KFindReq{
 			From: kref(2), Token: 3, Target: 77, TTL: 64, ReplyTo: kref(2), Shift: koorde.ShiftNone,
 		}},
 		{Kind: overlay.KindRing, Key: 1, Src: 2, Payload: koorde.KFindReq{
 			From: kref(2), Token: 3, Target: 77, TTL: 60, ReplyTo: kref(2), I: 4_123, Shift: 1,
 		}},
-		{Kind: overlay.KindRing, Key: 2, Src: 1, Payload: koorde.KFindResp{
+		{Kind: overlay.KindRing, Key: 2, Src: 1, Payload: overlay.FindResp{
 			From: kref(1), Token: 3, Succ: kref(80),
 		}},
 		{Kind: overlay.KindRing, Key: 1, Src: 2, Payload: koorde.KStabReq{From: kref(2)}},
@@ -106,9 +107,9 @@ func fuzzSeedMessages() []*dht.Message {
 		{Kind: core.KindMBR, Key: 1, Src: 2, RangeStart: 1, RangeEnd: 200,
 			HasRange: true, Mode: dht.RangeTree, Split: true, SplitImg: 48, SplitShift: 2,
 			Payload: core.MBRUpdate{MBR: mbr}},
-		{Kind: overlay.KindRing, Key: 1, Src: 2, Payload: koorde.KNotify{From: kref(2)}},
-		{Kind: overlay.KindRing, Key: 1, Src: 2, Payload: koorde.KPingReq{From: kref(2)}},
-		{Kind: overlay.KindRing, Key: 2, Src: 1, Payload: koorde.KPingResp{From: kref(1)}},
+		{Kind: overlay.KindRing, Key: 1, Src: 2, Payload: overlay.Notify{From: kref(2)}},
+		{Kind: overlay.KindRing, Key: 1, Src: 2, Payload: overlay.PingReq{From: kref(2)}},
+		{Kind: overlay.KindRing, Key: 2, Src: 1, Payload: overlay.PingResp{From: kref(1)}},
 		{Kind: overlay.KindRing, Key: 1, Src: 2, Payload: koorde.KDListReq{From: kref(2)}},
 		{Kind: overlay.KindRing, Key: 2, Src: 1, Payload: koorde.KDListResp{
 			From: kref(1), HasPred: true, Pred: kref(80), SuccList: []overlay.Ref{kref(2)},
@@ -116,7 +117,7 @@ func fuzzSeedMessages() []*dht.Message {
 	}
 }
 
-// kref builds an addressed overlay node reference for the koorde seeds.
+// kref builds an addressed overlay node reference for the ring seeds.
 func kref(id dht.Key) overlay.Ref {
 	return overlay.Ref{ID: id, Addr: "127.0.0.1:7002"}
 }

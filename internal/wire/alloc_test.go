@@ -89,23 +89,19 @@ func TestUnmarshalAllocBounds(t *testing.T) {
 		"core.LoadMsg":    3, // msg + box + loads
 		// Ring-control payloads: a Ref decodes to at most one string (its
 		// address), everything else is inline.
-		"protocol.FindReq":  4, // msg + box + 2 addr strings
-		"protocol.FindResp": 4,
-		"protocol.StabReq":  3, // msg + box + addr string
-		"protocol.StabResp": 8, // msg + box + list + 5 addr strings (largest fixture)
-		"protocol.Notify":   3,
-		"protocol.PingReq":  3,
-		"protocol.PingResp": 3,
-		// Koorde ring-control payloads decode with the same cost model as
-		// their Chord counterparts: the walk state in KFindReq is two
-		// inline varints and allocates nothing extra.
+		"protocol.FindReq": 4, // msg + box + 2 addr strings
+		"overlay.FindResp": 4,
+		"overlay.StabReq":  3, // msg + box + addr string
+		"overlay.StabResp": 8, // msg + box + list + 5 addr strings (largest fixture)
+		"overlay.Notify":   3,
+		"overlay.PingReq":  3,
+		"overlay.PingResp": 3,
+		// Koorde's own ring-control payloads decode with the same cost
+		// model: the walk state in KFindReq is two inline varints and
+		// allocates nothing extra.
 		"koorde.KFindReq":   4, // msg + box + 2 addr strings
-		"koorde.KFindResp":  4,
 		"koorde.KStabReq":   3,
 		"koorde.KStabResp":  8, // msg + box + list + 5 addr strings (largest fixture)
-		"koorde.KNotify":    3,
-		"koorde.KPingReq":   3,
-		"koorde.KPingResp":  3,
 		"koorde.KDListReq":  3,
 		"koorde.KDListResp": 8,
 	}

@@ -9,6 +9,7 @@ import (
 	"streamdex/internal/cqe"
 	"streamdex/internal/dht"
 	"streamdex/internal/koorde"
+	"streamdex/internal/overlay"
 	"streamdex/internal/query"
 	"streamdex/internal/sim"
 	"streamdex/internal/summary"
@@ -17,8 +18,8 @@ import (
 
 // ref builds a ring-control node reference with an address, as the live
 // transport carries them.
-func ref(id dht.Key) protocol.Ref {
-	return protocol.Ref{ID: id, Addr: "127.0.0.1:7001"}
+func ref(id dht.Key) overlay.Ref {
+	return overlay.Ref{ID: id, Addr: "127.0.0.1:7001"}
 }
 
 // mbr builds a non-trivial MBR with every field populated.
@@ -191,122 +192,106 @@ func roundTripCases() []*dht.Message {
 		// packed payloads travel the simulator's event engine and the TCP
 		// transport's control frames.
 		{
-			Kind: protocol.KindRing, Key: 200, Src: 100, Hops: 1, SentAt: 900_000,
+			Kind: overlay.KindRing, Key: 200, Src: 100, Hops: 1, SentAt: 900_000,
 			Payload: protocol.FindReq{From: ref(100), Token: 7, Target: 450, TTL: 63, ReplyTo: ref(100)},
 		},
 		{
-			Kind: protocol.KindRing, Key: 100, Src: 300, Hops: 1, SentAt: 910_000,
-			Payload: protocol.FindResp{From: ref(300), Token: 7, Succ: ref(500)},
+			Kind: overlay.KindRing, Key: 100, Src: 300, Hops: 1, SentAt: 910_000,
+			Payload: overlay.FindResp{From: ref(300), Token: 7, Succ: ref(500)},
 		},
 		{
-			Kind: protocol.KindRing, Key: 500, Src: 100, Hops: 1, SentAt: 920_000,
-			Payload: protocol.StabReq{From: ref(100)},
+			Kind: overlay.KindRing, Key: 500, Src: 100, Hops: 1, SentAt: 920_000,
+			Payload: overlay.StabReq{From: ref(100)},
 		},
 		{
-			Kind: protocol.KindRing, Key: 100, Src: 500, Hops: 1, SentAt: 930_000,
-			Payload: protocol.StabResp{
+			Kind: overlay.KindRing, Key: 100, Src: 500, Hops: 1, SentAt: 930_000,
+			Payload: overlay.StabResp{
 				From: ref(500), HasPred: true, Pred: ref(100),
-				SuccList: []protocol.Ref{ref(700), ref(900), ref(100)},
+				SuccList: []overlay.Ref{ref(700), ref(900), ref(100)},
 			},
 		},
 		// A predecessor-less StabResp (fresh ring) must round-trip too: the
 		// Pred field is elided on the wire.
 		{
-			Kind: protocol.KindRing, Key: 100, Src: 500, Hops: 1, SentAt: 940_000,
-			Payload: protocol.StabResp{From: ref(500), SuccList: []protocol.Ref{ref(700)}},
+			Kind: overlay.KindRing, Key: 100, Src: 500, Hops: 1, SentAt: 940_000,
+			Payload: overlay.StabResp{From: ref(500), SuccList: []overlay.Ref{ref(700)}},
 		},
 		{
-			Kind: protocol.KindRing, Key: 500, Src: 100, Hops: 1, SentAt: 950_000,
-			Payload: protocol.Notify{From: ref(100)},
+			Kind: overlay.KindRing, Key: 500, Src: 100, Hops: 1, SentAt: 950_000,
+			Payload: overlay.Notify{From: ref(100)},
 		},
 		{
-			Kind: protocol.KindRing, Key: 300, Src: 100, Hops: 1, SentAt: 960_000,
-			Payload: protocol.PingReq{From: ref(100)},
+			Kind: overlay.KindRing, Key: 300, Src: 100, Hops: 1, SentAt: 960_000,
+			Payload: overlay.PingReq{From: ref(100)},
 		},
 		{
-			Kind: protocol.KindRing, Key: 100, Src: 300, Hops: 1, SentAt: 970_000,
-			Payload: protocol.PingResp{From: ref(300)},
+			Kind: overlay.KindRing, Key: 100, Src: 300, Hops: 1, SentAt: 970_000,
+			Payload: overlay.PingResp{From: ref(300)},
 		},
 		// Koorde control plane: same KindRing envelope, disjoint payload
 		// tags. A KFindReq carries the de Bruijn walk state (I, Shift), so
 		// all three walk phases must round-trip: unanchored (ShiftNone),
 		// mid-walk, and digit-exhausted.
 		{
-			Kind: protocol.KindRing, Key: 200, Src: 100, Hops: 1, SentAt: 980_000,
+			Kind: overlay.KindRing, Key: 200, Src: 100, Hops: 1, SentAt: 980_000,
 			Payload: koorde.KFindReq{From: ref(100), Token: 11, Target: 450, TTL: 64,
 				ReplyTo: ref(100), Shift: koorde.ShiftNone},
 		},
 		{
-			Kind: protocol.KindRing, Key: 300, Src: 200, Hops: 2, SentAt: 981_000,
+			Kind: overlay.KindRing, Key: 300, Src: 200, Hops: 2, SentAt: 981_000,
 			Payload: koorde.KFindReq{From: ref(200), Token: 11, Target: 450, TTL: 62,
 				ReplyTo: ref(100), I: 7_200, Shift: 2},
 		},
 		{
-			Kind: protocol.KindRing, Key: 440, Src: 300, Hops: 3, SentAt: 982_000,
+			Kind: overlay.KindRing, Key: 440, Src: 300, Hops: 3, SentAt: 982_000,
 			Payload: koorde.KFindReq{From: ref(300), Token: 11, Target: 450, TTL: 60,
 				ReplyTo: ref(100), I: 450, Shift: 0},
 		},
 		{
-			Kind: protocol.KindRing, Key: 100, Src: 440, Hops: 1, SentAt: 983_000,
-			Payload: koorde.KFindResp{From: ref(440), Token: 11, Succ: ref(500)},
-		},
-		{
-			Kind: protocol.KindRing, Key: 500, Src: 100, Hops: 1, SentAt: 984_000,
+			Kind: overlay.KindRing, Key: 500, Src: 100, Hops: 1, SentAt: 984_000,
 			Payload: koorde.KStabReq{From: ref(100)},
 		},
 		// A chain probe: the stabilize request repurposed for piggybacked
 		// pointer repair carries the Chain flag and the k·self image.
 		{
-			Kind: protocol.KindRing, Key: 500, Src: 100, Hops: 1, SentAt: 984_500,
+			Kind: overlay.KindRing, Key: 500, Src: 100, Hops: 1, SentAt: 984_500,
 			Payload: koorde.KStabReq{From: ref(100), Chain: true, Image: 1_600},
 		},
 		{
-			Kind: protocol.KindRing, Key: 100, Src: 500, Hops: 1, SentAt: 985_000,
+			Kind: overlay.KindRing, Key: 100, Src: 500, Hops: 1, SentAt: 985_000,
 			Payload: koorde.KStabResp{
 				From: ref(500), HasPred: true, Pred: ref(100),
-				SuccList: []protocol.Ref{ref(700), ref(900), ref(100)},
+				SuccList: []overlay.Ref{ref(700), ref(900), ref(100)},
 			},
 		},
 		// The chain-probe reply echoes Chain and Image so the requester
-		// patches its pointer chain instead of its successor list.
+		// can tell a reply for the image it chases from a stale one.
 		{
-			Kind: protocol.KindRing, Key: 100, Src: 500, Hops: 1, SentAt: 985_500,
+			Kind: overlay.KindRing, Key: 100, Src: 500, Hops: 1, SentAt: 985_500,
 			Payload: koorde.KStabResp{
 				From: ref(500), HasPred: true, Pred: ref(100), Chain: true, Image: 1_600,
-				SuccList: []protocol.Ref{ref(700), ref(900), ref(100)},
+				SuccList: []overlay.Ref{ref(700), ref(900), ref(100)},
 			},
 		},
 		// Predecessor-less KStabResp: the Pred field is elided on the wire.
 		{
-			Kind: protocol.KindRing, Key: 100, Src: 500, Hops: 1, SentAt: 986_000,
-			Payload: koorde.KStabResp{From: ref(500), SuccList: []protocol.Ref{ref(700)}},
+			Kind: overlay.KindRing, Key: 100, Src: 500, Hops: 1, SentAt: 986_000,
+			Payload: koorde.KStabResp{From: ref(500), SuccList: []overlay.Ref{ref(700)}},
 		},
 		{
-			Kind: protocol.KindRing, Key: 500, Src: 100, Hops: 1, SentAt: 987_000,
-			Payload: koorde.KNotify{From: ref(100)},
-		},
-		{
-			Kind: protocol.KindRing, Key: 300, Src: 100, Hops: 1, SentAt: 988_000,
-			Payload: koorde.KPingReq{From: ref(100)},
-		},
-		{
-			Kind: protocol.KindRing, Key: 100, Src: 300, Hops: 1, SentAt: 989_000,
-			Payload: koorde.KPingResp{From: ref(300)},
-		},
-		{
-			Kind: protocol.KindRing, Key: 700, Src: 100, Hops: 1, SentAt: 990_000,
+			Kind: overlay.KindRing, Key: 700, Src: 100, Hops: 1, SentAt: 990_000,
 			Payload: koorde.KDListReq{From: ref(100)},
 		},
 		{
-			Kind: protocol.KindRing, Key: 100, Src: 700, Hops: 1, SentAt: 991_000,
+			Kind: overlay.KindRing, Key: 100, Src: 700, Hops: 1, SentAt: 991_000,
 			Payload: koorde.KDListResp{
 				From: ref(700), HasPred: true, Pred: ref(500),
-				SuccList: []protocol.Ref{ref(900), ref(100), ref(300)},
+				SuccList: []overlay.Ref{ref(900), ref(100), ref(300)},
 			},
 		},
 		{
-			Kind: protocol.KindRing, Key: 100, Src: 700, Hops: 1, SentAt: 992_000,
-			Payload: koorde.KDListResp{From: ref(700), SuccList: []protocol.Ref{ref(900)}},
+			Kind: overlay.KindRing, Key: 100, Src: 700, Hops: 1, SentAt: 992_000,
+			Payload: koorde.KDListResp{From: ref(700), SuccList: []overlay.Ref{ref(900)}},
 		},
 		// Split legs of a de Bruijn-aware tree multicast: the reserved
 		// Mode==3 envelope encoding with the 9-byte walk-state extension.
@@ -354,6 +339,36 @@ func TestMarshalRoundTripAllKinds(t *testing.T) {
 		want.Bytes = len(frame)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("kind %d round trip:\n got %#v\nwant %#v", want.Kind, got, want)
+		}
+	}
+}
+
+// retiredTagFrames returns frames as a peer built before Koorde moved onto
+// the shared ring messages would send them: KFindResp (tag 33), KNotify
+// (36), KPingReq (37) and KPingResp (38), each with the layout of its
+// surviving counterpart. The tags are retired, never reused, so no codec
+// is registered for them.
+func retiredTagFrames(t testing.TB) [][]byte {
+	retag := func(p any, tag byte) []byte {
+		frame, err := wire.Marshal(&dht.Message{Kind: overlay.KindRing, Key: 500, Src: 100, Hops: 1, Payload: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[wire.HeaderBytes] = tag
+		return frame
+	}
+	return [][]byte{
+		retag(overlay.FindResp{From: ref(440), Token: 11, Succ: ref(500)}, 33),
+		retag(overlay.Notify{From: ref(100)}, 36),
+		retag(overlay.PingReq{From: ref(100)}, 37),
+		retag(overlay.PingResp{From: ref(300)}, 38),
+	}
+}
+
+func TestRetiredRingTagsRejected(t *testing.T) {
+	for _, frame := range retiredTagFrames(t) {
+		if _, err := wire.Unmarshal(frame); err == nil {
+			t.Errorf("retired payload tag %d decoded", frame[wire.HeaderBytes])
 		}
 	}
 }

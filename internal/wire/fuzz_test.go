@@ -39,6 +39,9 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		f.Add(frame)
 	}
+	for _, frame := range retiredTagFrames(f) {
+		f.Add(frame)
+	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, wire.HeaderBytes+3))
 	f.Add(make([]byte, wire.HeaderBytes-1))

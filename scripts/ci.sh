@@ -7,8 +7,12 @@
 #   3. go build   — everything compiles
 #   4. go test -race   — full suite under the race detector (also covers
 #                        the serial-vs-parallel determinism regression)
-#   5. churn (race)    — scripted join/leave/crash convergence of the
-#                        shared Chord protocol machine
+#   5. ring churn + parity (race) — on every registered machine (Chord,
+#                        Koorde): scripted join/leave/crash convergence of
+#                        the shared ring backbone and the machine's long
+#                        links, sim-vs-live parity of the same machine on
+#                        a real TCP node, and a foreign-machine joiner
+#                        timing out instead of being absorbed
 #   6. loopback (race) — the 5-node TCP loopback cluster against the
 #                        simulator, and ring convergence
 #   7. fuzz smoke      — short native-fuzz run of the wire codec decoder
@@ -42,12 +46,7 @@
 #  13. smoke bench     — BENCH_FAST=1 figure benchmarks, one iteration,
 #                        so an accidental O(N) regression in the hot paths
 #                        shows up as a CI timeout / obvious slowdown
-#  14. koorde churn + parity (race) — deterministic scripted churn of the
-#                        Koorde de Bruijn machine (joins, leave, crashes,
-#                        late join must re-converge to the oracle), and
-#                        sim-vs-live parity of the same machine on a real
-#                        TCP cluster, both under the race detector
-#  15. ratio gates (race) — TestLoadSkewGate, TestHeadToHeadGates and
+#  14. ratio gates (race) — TestLoadSkewGate, TestHeadToHeadGates and
 #                        TestFirstAnswerGate: the seeded virtual-time
 #                        load-skew bound, the three chord-vs-koorde ratios
 #                        and first match over push period for queries with
@@ -76,12 +75,16 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== control-plane churn (race) =="
-# Deterministic scripted churn over the shared Chord protocol machine:
-# joins, a graceful leave, adjacent crashes and a late join must all
-# re-converge to the live-membership oracle. Virtual-time determinism
-# makes any race found here reproducible.
-go test -race -count=1 -run 'TestChurn' ./internal/chord/protocol
+echo "== ring churn + sim-vs-live parity, every machine (race) =="
+# One row per registered machine. Deterministic scripted churn (joins, a
+# graceful leave, adjacent crashes, a late join) must re-converge the
+# ring and the long links (fingers, de Bruijn chain) to the
+# live-membership oracle — virtual-time determinism makes any race found
+# here reproducible; the live TCP node must agree with the simulator
+# after every control message of a shared trace; and a joiner of the
+# other machine family must time out without any member adopting it.
+go test -race -count=1 -run 'TestChurnReconverges' ./internal/chord/protocol
+go test -race -count=1 -run 'TestControlPlaneParitySimVsLive|TestForeignJoinerNotAbsorbed' ./internal/transport
 
 echo "== live transport loopback (race) =="
 # Explicitly exercise the 5-node TCP loopback cluster against the
@@ -140,15 +143,6 @@ BENCH_FAST=1 go test -run '^$' \
     -bench 'BenchmarkTable1Workload$|BenchmarkFig6aLoad$|BenchmarkFig7aOverhead$|BenchmarkFig8Hops$' \
     -benchmem -benchtime 1x .
 BENCH_FAST=1 go test -run '^$' -bench 'SlidingDFTPush' -benchtime 100x ./internal/dsp
-
-echo "== koorde churn + sim-vs-live parity (race) =="
-# The second routing machine through the same wringer as Chord:
-# deterministic scripted churn (joins, a graceful leave, adjacent
-# crashes, a late join) must re-converge the de Bruijn pointers to the
-# live-membership oracle, and the live TCP cluster must agree with the
-# simulator on every successor resolution.
-go test -race -count=1 -run 'TestKoordeChurnReconverges' ./internal/koorde
-go test -race -count=1 -run 'TestKoordeParitySimVsLive' ./internal/transport
 
 echo "== simulator ratio gates: load skew, chord-vs-koorde, first answer (race) =="
 # Seeded virtual-time facts, so reproducible on any host. At 50 nodes under
