@@ -33,8 +33,7 @@ type Wall struct {
 
 // LoopStats is a snapshot of the run loop's task-queue health. The queue is
 // 4096 deep and Post blocks silently when it is full; these counters make
-// that saturation observable (surfaced by the node's STATS output through
-// metrics.Loop).
+// that saturation observable (surfaced by the node's STATS output).
 type LoopStats struct {
 	Posted       int64 // tasks ever enqueued
 	Depth        int   // tasks queued right now

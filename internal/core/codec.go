@@ -39,8 +39,8 @@ const (
 )
 
 func init() {
-	wire.RegisterPackedPayload(tagMBRUpdate, MBRUpdate{}, codecFuncs{encMBRUpdate, decMBRUpdate, decMBRUpdateArena})
-	wire.RegisterPackedPayload(tagSimQuery, SimQuery{}, codecFuncs{encSimQuery, decSimQuery, decSimQueryArena})
+	wire.RegisterPackedPayload(tagMBRUpdate, MBRUpdate{}, codecFuncs{enc: encMBRUpdate, decA: decMBRUpdate})
+	wire.RegisterPackedPayload(tagSimQuery, SimQuery{}, codecFuncs{enc: encSimQuery, decA: decSimQuery})
 	wire.RegisterPackedPayload(tagNotifyBatch, NotifyBatch{}, codecFuncs{enc: encNotifyBatch, dec: decNotifyBatch})
 	wire.RegisterPackedPayload(tagResponseMsg, ResponseMsg{}, codecFuncs{enc: encResponseMsg, dec: decResponseMsg})
 	wire.RegisterPackedPayload(tagLocPut, LocPut{}, codecFuncs{enc: encLocPut, dec: decLocPut})
@@ -50,9 +50,10 @@ func init() {
 	wire.RegisterPackedPayload(tagIPResp, IPResp{}, codecFuncs{enc: encIPResp, dec: decIPResp})
 }
 
-// codecFuncs adapts an encode/decode function pair to wire.PayloadCodec,
-// with an optional arena-carving decoder (wire.ArenaDecoder) for the
-// data-plane kinds whose decode rate justifies one.
+// codecFuncs adapts an encode/decode function pair to wire.PayloadCodec.
+// The data-plane kinds whose decode rate justifies it set decA instead of
+// dec: one decoder that carves from a wire.Arena (wire.ArenaDecoder) and
+// allocates on the heap when handed a nil one.
 type codecFuncs struct {
 	enc  func(dst []byte, p any) ([]byte, error)
 	dec  func(data []byte) (any, error)
@@ -60,7 +61,7 @@ type codecFuncs struct {
 }
 
 func (c codecFuncs) Append(dst []byte, p any) ([]byte, error) { return c.enc(dst, p) }
-func (c codecFuncs) Decode(data []byte) (any, error)          { return c.dec(data) }
+func (c codecFuncs) Decode(data []byte) (any, error)          { return c.DecodeArena(data, nil) }
 
 func (c codecFuncs) DecodeArena(data []byte, a *wire.Arena) (any, error) {
 	if c.decA == nil {
@@ -90,7 +91,12 @@ func slabsOf(a *wire.Arena) *coreSlabs {
 	return s
 }
 
-func (s *coreSlabs) mbr(a *wire.Arena) *summary.MBR {
+// newMBR carves an MBR out of the arena, or allocates one when a is nil.
+func newMBR(a *wire.Arena) *summary.MBR {
+	if a == nil {
+		return &summary.MBR{}
+	}
+	s := slabsOf(a)
 	a.Stats().Carves.Add(1)
 	if len(s.mbrs) == 0 {
 		s.mbrs = make([]summary.MBR, coreSlabChunk)
@@ -101,7 +107,13 @@ func (s *coreSlabs) mbr(a *wire.Arena) *summary.MBR {
 	return b
 }
 
-func (s *coreSlabs) sim(a *wire.Arena) *query.Similarity {
+// newSimilarity carves a query out of the arena, or allocates one when a
+// is nil.
+func newSimilarity(a *wire.Arena) *query.Similarity {
+	if a == nil {
+		return &query.Similarity{}
+	}
+	s := slabsOf(a)
 	a.Stats().Carves.Add(1)
 	if len(s.sims) == 0 {
 		s.sims = make([]query.Similarity, coreSlabChunk)
@@ -142,7 +154,9 @@ func encMBRUpdate(dst []byte, p any) ([]byte, error) {
 	return dst, nil
 }
 
-func decMBRUpdate(data []byte) (any, error) {
+// decMBRUpdate carves the rectangle, its corner slices and (interned)
+// stream id out of the arena — the hot ingest path.
+func decMBRUpdate(data []byte, a *wire.Arena) (any, error) {
 	r := wire.NewReader(data)
 	if !r.Bool() {
 		if err := r.Done(); err != nil {
@@ -150,34 +164,21 @@ func decMBRUpdate(data []byte) (any, error) {
 		}
 		return MBRUpdate{}, nil
 	}
-	b := &summary.MBR{}
-	b.StreamID = r.String()
-	b.Seq = r.Uvarint()
-	b.Count = int(r.Varint())
-	b.Created = sim.Time(r.Varint())
-	b.Expiry = sim.Time(r.Varint())
-	b.Lo = summary.Feature(r.Floats())
-	b.Hi = summary.Feature(r.Floats())
+	b := readMBR(&r, a)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	if len(b.Lo) != len(b.Hi) {
-		return nil, fmt.Errorf("core: MBR with %d-dim lo, %d-dim hi", len(b.Lo), len(b.Hi))
+		return nil, errDimMismatch(len(b.Lo), len(b.Hi))
 	}
 	return MBRUpdate{MBR: b}, nil
 }
 
-// decMBRUpdateArena is decMBRUpdate carving the rectangle, its corner
-// slices and (interned) stream id out of the arena — the hot ingest path.
-func decMBRUpdateArena(data []byte, a *wire.Arena) (any, error) {
-	r := wire.NewReader(data)
-	if !r.Bool() {
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		return MBRUpdate{}, nil
-	}
-	b := slabsOf(a).mbr(a)
+// readMBR reads the rectangle both MBR-carrying payloads (KindMBR,
+// KindReplica) share: streamID | seq(uvar) | count(var) | created(var) |
+// expiry(var) | lo(floats) | hi(floats).
+func readMBR(r *wire.Reader, a *wire.Arena) *summary.MBR {
+	b := newMBR(a)
 	b.StreamID = r.StringArena(a)
 	b.Seq = r.Uvarint()
 	b.Count = int(r.Varint())
@@ -185,13 +186,11 @@ func decMBRUpdateArena(data []byte, a *wire.Arena) (any, error) {
 	b.Expiry = sim.Time(r.Varint())
 	b.Lo = summary.Feature(r.FloatsArena(a))
 	b.Hi = summary.Feature(r.FloatsArena(a))
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if len(b.Lo) != len(b.Hi) {
-		return nil, fmt.Errorf("core: MBR with %d-dim lo, %d-dim hi", len(b.Lo), len(b.Hi))
-	}
-	return MBRUpdate{MBR: b}, nil
+	return b
+}
+
+func errDimMismatch(lo, hi int) error {
+	return fmt.Errorf("core: MBR with %d-dim lo, %d-dim hi", lo, hi)
 }
 
 // --- KindQuery: SimQuery ---
@@ -219,7 +218,8 @@ func encSimQuery(dst []byte, p any) ([]byte, error) {
 	return dst, nil
 }
 
-func decSimQuery(data []byte) (any, error) {
+// decSimQuery carves the query and its feature vector out of the arena.
+func decSimQuery(data []byte, a *wire.Arena) (any, error) {
 	r := wire.NewReader(data)
 	u := SimQuery{MiddleKey: dht.Key(r.Uvarint())}
 	if !r.Bool() {
@@ -228,33 +228,7 @@ func decSimQuery(data []byte) (any, error) {
 		}
 		return u, nil
 	}
-	q := &query.Similarity{}
-	q.ID = query.ID(r.Uvarint())
-	q.Origin = dht.Key(r.Uvarint())
-	q.Feature = summary.Feature(r.Floats())
-	q.Radius = r.Float64()
-	q.Norm = dsp.Mode(r.Varint())
-	q.Posted = sim.Time(r.Varint())
-	q.Lifespan = sim.Time(r.Varint())
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	u.Q = q
-	return u, nil
-}
-
-// decSimQueryArena is decSimQuery carving the query and its feature vector
-// out of the arena.
-func decSimQueryArena(data []byte, a *wire.Arena) (any, error) {
-	r := wire.NewReader(data)
-	u := SimQuery{MiddleKey: dht.Key(r.Uvarint())}
-	if !r.Bool() {
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		return u, nil
-	}
-	q := slabsOf(a).sim(a)
+	q := newSimilarity(a)
 	q.ID = query.ID(r.Uvarint())
 	q.Origin = dht.Key(r.Uvarint())
 	q.Feature = summary.Feature(r.FloatsArena(a))

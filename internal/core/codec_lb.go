@@ -5,17 +5,7 @@ package core
 // reports feeding the power-of-two-choices read balancer. Tags continue
 // after the continuous-query-engine block (23-29).
 
-import (
-	"fmt"
-
-	"streamdex/internal/sim"
-	"streamdex/internal/summary"
-	"streamdex/internal/wire"
-)
-
-func errDimMismatch(lo, hi int) error {
-	return fmt.Errorf("core: MBR with %d-dim lo, %d-dim hi", lo, hi)
-}
+import "streamdex/internal/wire"
 
 const (
 	tagReplicaMsg uint8 = iota + 30
@@ -23,7 +13,7 @@ const (
 )
 
 func init() {
-	wire.RegisterPackedPayload(tagReplicaMsg, ReplicaMsg{}, codecFuncs{encReplicaMsg, decReplicaMsg, decReplicaMsgArena})
+	wire.RegisterPackedPayload(tagReplicaMsg, ReplicaMsg{}, codecFuncs{enc: encReplicaMsg, decA: decReplicaMsg})
 	wire.RegisterPackedPayload(tagLoadMsg, LoadMsg{}, codecFuncs{enc: encLoadMsg, dec: decLoadMsg})
 }
 
@@ -52,26 +42,9 @@ func encReplicaMsg(dst []byte, p any) ([]byte, error) {
 	return wire.AppendVarint(dst, int64(u.TTL)), nil
 }
 
-func readReplicaMBR(r *wire.Reader, b *summary.MBR, a *wire.Arena) {
-	if a != nil {
-		b.StreamID = r.StringArena(a)
-	} else {
-		b.StreamID = r.String()
-	}
-	b.Seq = r.Uvarint()
-	b.Count = int(r.Varint())
-	b.Created = sim.Time(r.Varint())
-	b.Expiry = sim.Time(r.Varint())
-	if a != nil {
-		b.Lo = summary.Feature(r.FloatsArena(a))
-		b.Hi = summary.Feature(r.FloatsArena(a))
-	} else {
-		b.Lo = summary.Feature(r.Floats())
-		b.Hi = summary.Feature(r.Floats())
-	}
-}
-
-func decReplicaMsg(data []byte) (any, error) {
+// decReplicaMsg carves the rectangle out of the arena — replica copies sit
+// in the store as long as primaries do.
+func decReplicaMsg(data []byte, a *wire.Arena) (any, error) {
 	r := wire.NewReader(data)
 	if !r.Bool() {
 		u := ReplicaMsg{TTL: int(r.Varint())}
@@ -80,31 +53,7 @@ func decReplicaMsg(data []byte) (any, error) {
 		}
 		return u, nil
 	}
-	b := &summary.MBR{}
-	readReplicaMBR(&r, b, nil)
-	u := ReplicaMsg{MBR: b, TTL: int(r.Varint())}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if len(b.Lo) != len(b.Hi) {
-		return nil, errDimMismatch(len(b.Lo), len(b.Hi))
-	}
-	return u, nil
-}
-
-// decReplicaMsgArena is decReplicaMsg carving the rectangle out of the
-// arena — replica copies sit in the store as long as primaries do.
-func decReplicaMsgArena(data []byte, a *wire.Arena) (any, error) {
-	r := wire.NewReader(data)
-	if !r.Bool() {
-		u := ReplicaMsg{TTL: int(r.Varint())}
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		return u, nil
-	}
-	b := slabsOf(a).mbr(a)
-	readReplicaMBR(&r, b, a)
+	b := readMBR(&r, a)
 	u := ReplicaMsg{MBR: b, TTL: int(r.Varint())}
 	if err := r.Done(); err != nil {
 		return nil, err

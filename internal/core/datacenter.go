@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"streamdex/internal/clock"
-	"streamdex/internal/cqe"
 	"streamdex/internal/dht"
 	"streamdex/internal/dsp"
 	"streamdex/internal/metrics"
@@ -81,13 +81,10 @@ type DataCenter struct {
 	pool   dht.Pool
 	poster interface{ Post(func()) bool }
 
-	// engine is the continuous-query operator registry all non-MBR
-	// message kinds dispatch through; the typed references let the
-	// middleware reach operator-specific entry points (registration,
-	// sketch publication) without downcasts.
-	engine *cqe.Engine
-	opSim  *simOp
-	opIP   *ipOp
+	// The operators layered on the paper's similarity and inner-product
+	// paths (which live on DataCenter itself): standing subscriptions,
+	// windowed aggregates, top-k monitors and replica upkeep. Deliver,
+	// DeliverData, onStored, periodTick and onRingChange call them.
 	opSub  *subOp
 	opAgg  *aggOp
 	opTopK *topkOp
@@ -144,7 +141,10 @@ func newDataCenter(id dht.Key, mw *Middleware) *DataCenter {
 		locCache:  make(map[string]dht.Key),
 		pendingIP: make(map[string][]*query.InnerProduct),
 	}
-	dc.engine = newEngine(dc)
+	dc.opSub = newSubOp(dc)
+	dc.opAgg = newAggOp(dc)
+	dc.opTopK = newTopKOp(dc)
+	dc.opRep = newRepOp(dc)
 	return dc
 }
 
@@ -314,11 +314,10 @@ func (dc *DataCenter) publishMBR(b *summary.MBR) {
 	b.Expiry = now + dc.mw.cfg.MBRLifespan
 	dc.mw.col.CountEvent(metrics.EventMBR)
 
-	// The summary is also stored locally (§IV-A) and fanned out to the
-	// operators registered on this node (similarity matching, predicate
-	// subscriptions, frequency monitors).
+	// The summary is also stored locally (§IV-A) and matched like any
+	// arriving one.
 	dc.store.Put(b)
-	dc.engine.OnMBR(dc, b)
+	dc.onStored(b)
 	if dc.mw.cfg.Replicas > 1 {
 		// Remember the live summary for periodic republish: replica sets
 		// re-home after churn within one push period.
@@ -353,32 +352,97 @@ func (dc *DataCenter) matchNewMBR(b *summary.MBR) {
 	}
 }
 
+// onStored runs the per-MBR hooks for a summary just put into the local
+// store, in the fixed order similarity, subscribe, top-k (the other
+// operators have none). Worker context on the live node: each hook
+// carries its own locks and costs one atomic load when idle.
+func (dc *DataCenter) onStored(b *summary.MBR) {
+	dc.matchNewMBR(b)
+	dc.opSub.onMBR(b)
+	dc.opTopK.onMBR(b)
+}
+
 // Deliver implements dht.App: the application upcall of the content-based
-// routing substrate, on the substrate's loop. KindMBR — the index write
-// path every operator observes — is handled natively; every other kind
-// dispatches through the operator registry.
+// routing substrate, on the substrate's loop. One case per middleware
+// kind; anything else is counted as unclassified.
 func (dc *DataCenter) Deliver(self dht.Key, msg *dht.Message) {
 	dc.delivered.Add(1)
-	if msg.Kind == KindMBR {
+	switch msg.Kind {
+	case KindMBR:
 		dc.onMBR(msg)
-		return
-	}
-	if !dc.engine.Deliver(dc, msg) {
+	case KindQuery:
+		dc.handleQuery(msg, true)
+	case KindNotify:
+		dc.onNotify(msg)
+	case KindResponse:
+		dc.mw.deliverSimilarity(dc.id, msg.Payload.(ResponseMsg))
+	case KindLocPut:
+		p := msg.Payload.(LocPut)
+		dc.locTable[p.StreamID] = p.Source
+	case KindLocGet:
+		dc.onLocGet(msg)
+	case KindLocReply:
+		dc.onLocReply(msg)
+	case KindIPSub:
+		dc.onIPSub(msg)
+	case KindIPResp:
+		dc.mw.deliverIP(dc.id, msg.Payload.(IPResp))
+	case KindSketch:
+		dc.opAgg.onSketch(msg)
+	case KindSub:
+		dc.opSub.onSub(msg)
+	case KindSubMatch:
+		dc.mw.deliverSubMatch(msg.Payload.(SubMatchMsg))
+	case KindAggQuery:
+		dc.opAgg.onAggQuery(msg)
+	case KindAggReply:
+		dc.mw.deliverAggReply(msg.Payload.(AggReplyMsg))
+	case KindTopK:
+		dc.opTopK.onTopK(msg)
+	case KindTopKReport:
+		dc.mw.deliverTopKReport(msg.Payload.(TopKReportMsg))
+	case KindReplica:
+		dc.opRep.onReplica(msg)
+	case KindLoad:
+		dc.opRep.onLoad(msg)
+	default:
 		dc.mw.unclassified++
 	}
 }
 
 // DeliverData implements dht.ConcurrentApp: the data-plane upcall a
-// substrate's worker pool makes. MBR publishes are absorbed natively;
-// each operator decides which of its kinds are worker-safe. Anything
-// declined reports false and the substrate posts Deliver onto its loop.
+// substrate's worker pool makes. This switch is the list of worker-safe
+// kinds. Every other kind lands in loop-confined state (aggregators, the
+// location service, client-side result tables), so it reports false and
+// the substrate posts Deliver onto its loop.
 func (dc *DataCenter) DeliverData(self dht.Key, msg *dht.Message) bool {
 	dc.delivered.Add(1)
-	if msg.Kind == KindMBR {
+	switch msg.Kind {
+	case KindMBR:
+		// The store and the subscription tables carry their own locks.
 		dc.onMBR(msg)
-		return true
+	case KindQuery:
+		// The ordering fence in handleQuery; aggregator work is posted.
+		dc.handleQuery(msg, false)
+	case KindSketch:
+		// Own lock, replace-wholesale semantics.
+		dc.opAgg.onSketch(msg)
+	case KindSub:
+		// Own lock; the store walk is lock-free.
+		dc.opSub.onSub(msg)
+	case KindTopK:
+		// Own lock.
+		dc.opTopK.onTopK(msg)
+	case KindReplica:
+		// The store's locks; forwarding routes on the lock-free ring view.
+		dc.opRep.onReplica(msg)
+	case KindLoad:
+		// The load view's mutex.
+		dc.opRep.onLoad(msg)
+	default:
+		return false
 	}
-	return dc.engine.DeliverData(dc, msg)
+	return true
 }
 
 // onMBR stores a replicated summary, matches it, and keeps the range
@@ -390,7 +454,7 @@ func (dc *DataCenter) onMBR(msg *dht.Message) {
 	live := !b.Expired(dc.mw.clk.Now())
 	if live && dc.admit() {
 		dc.store.Put(b)
-		dc.engine.OnMBR(dc, b)
+		dc.onStored(b)
 	}
 	legs := dht.ContinueRange(dc.mw.net, dc.id, msg, 1)
 	// Replica tail: the last natural coverer of a sequential-mode range
@@ -650,6 +714,11 @@ func (dc *DataCenter) registerIPSub(q *query.InnerProduct) {
 	dc.ipSubs[q.ID] = &ipSubState{q: q}
 }
 
+// ipSubState is one inner-product subscription at the stream's source.
+type ipSubState struct {
+	q *query.InnerProduct
+}
+
 // startTicker launches the periodic push/sweep process (NPER).
 func (dc *DataCenter) startTicker() {
 	period := dc.mw.cfg.PushPeriod
@@ -659,12 +728,13 @@ func (dc *DataCenter) startTicker() {
 
 // periodTick runs once per push period: sweep the store (on the live node
 // that only unlinks expired generations — no entry is copied on the loop),
-// then run every operator's periodic slice —
-// sweeping its soft state, funneling similarity information one hop toward
-// middle nodes, pushing aggregated responses, inner-product values,
-// subscription matches, sketch reports and frequency tables, and
-// refreshing standing registrations — and last release the client-side
-// dedup sets of queries expired for a push period.
+// then each query path's periodic slice — sweeping its soft state,
+// funneling similarity information one hop toward middle nodes, pushing
+// aggregated responses, inner-product values, subscription matches, sketch
+// reports, frequency tables and load reports, and refreshing standing
+// registrations — and last release the client-side dedup sets of queries
+// expired for a push period. The order of the slices is part of the
+// simulator's deterministic event schedule.
 func (dc *DataCenter) periodTick() {
 	if !dc.alive() {
 		dc.ticker.Stop()
@@ -672,8 +742,69 @@ func (dc *DataCenter) periodTick() {
 	}
 	now := dc.mw.clk.Now()
 	dc.store.Sweep(now)
-	dc.engine.Tick(dc, now)
+	dc.similarityTick(now)
+	dc.pushInnerProducts(now)
+	dc.opSub.tick(now)
+	dc.opAgg.tick(now)
+	dc.opTopK.tick(now)
+	dc.opRep.tick(now)
 	dc.mw.retireResults(now)
+}
+
+// onRingChange runs when the substrate reports that this node's ring
+// neighborhood moved: the standing state it originated re-homes at once
+// instead of waiting out the push period. Loop context. Similarity soft
+// state survives churn adaptively (absorbOrRelay re-creates aggregators
+// from notify items) and inner-product subscriptions live at stream
+// sources, so neither path has a slice here.
+func (dc *DataCenter) onRingChange() {
+	now := dc.mw.clk.Now()
+	refresh(dc.opSub.mine, now, false, dc.opSub.announce)
+	refresh(dc.opAgg.mine, now, false, dc.opAgg.multicast)
+	refresh(dc.opTopK.mine, now, false, dc.opTopK.multicast)
+	dc.opRep.onRingChange(now)
+}
+
+// refresh re-multicasts the live standing queries a node originated: the
+// soft-state half of the subscribe, aggregate and top-k operators. On the
+// push-period tick (sweep set) expired entries are forgotten; a ring change
+// only skips them. Loop context.
+func refresh[Q interface{ Expiry() sim.Time }](mine map[query.ID]Q, now sim.Time, sweep bool, send func(Q)) {
+	for id, q := range mine {
+		if now >= q.Expiry() {
+			if sweep {
+				delete(mine, id)
+			}
+			continue
+		}
+		send(q)
+	}
+}
+
+// similarityTick is the similarity path's periodic slice: sweep expired
+// subscriptions, funnel detected similarities one ring hop, push
+// aggregated responses to clients and sweep expired aggregators. A
+// subscription leaves with what it detected in its last period: drained
+// straight to the middle node, which a hop-per-period relay would no
+// longer reach in time.
+func (dc *DataCenter) similarityTick(now sim.Time) {
+	var expired []*simSub
+	dc.subMu.Lock()
+	for id, sub := range dc.subs {
+		if now >= sub.q.Expiry() {
+			delete(dc.subs, id)
+			expired = append(expired, sub)
+		}
+	}
+	dc.subMu.Unlock()
+	// Deterministic send order: map iteration order must not leak into the
+	// simulator's event schedule.
+	sort.Slice(expired, func(i, j int) bool { return expired[i].q.ID < expired[j].q.ID })
+	for _, sub := range expired {
+		dc.forwardCandidates(sub)
+	}
+	dc.flushNotifies(now)
+	dc.pushResponses(now)
 }
 
 // flushNotifies sends at most one KindNotify per ring direction, carrying
@@ -791,11 +922,16 @@ func (dc *DataCenter) pushResponse(agg *aggregator) {
 	dc.mw.net.Send(dc.id, agg.client, msg)
 }
 
-// pushInnerProducts reconstructs each subscribed stream from its retained
-// coefficients (inverse transform, Eq. 7) and pushes the weighted inner
-// product to the client (§IV-D).
+// pushInnerProducts is the inner-product path's periodic slice: it sweeps
+// expired subscriptions, reconstructs each subscribed stream from its
+// retained coefficients (inverse transform, Eq. 7) and pushes the weighted
+// inner product to the client (§IV-D).
 func (dc *DataCenter) pushInnerProducts(now sim.Time) {
 	for id, st := range dc.ipSubs {
+		if now >= st.q.Expiry() {
+			delete(dc.ipSubs, id)
+			continue
+		}
 		ls := dc.streams[st.q.StreamID]
 		if ls == nil {
 			continue

@@ -117,12 +117,11 @@ func (mw *Middleware) AttachNode(id dht.Key) *DataCenter {
 	}
 	mw.dcs[id] = dc
 	mw.net.SetApp(id, dc)
-	// Substrates that report neighborhood changes drive the engine's
-	// eager churn re-registration; everywhere else the periodic refresh
-	// in each operator's Tick re-homes standing registrations within one
-	// push period.
+	// Substrates that report neighborhood changes drive the eager churn
+	// re-registration; everywhere else the periodic refresh in periodTick
+	// re-homes standing registrations within one push period.
 	if nw, ok := mw.net.(dht.NeighborWatcher); ok {
-		nw.WatchNeighbors(id, func() { dc.engine.OnRingChange(dc) })
+		nw.WatchNeighbors(id, dc.onRingChange)
 	}
 	dc.startTicker()
 	return dc

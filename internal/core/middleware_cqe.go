@@ -40,7 +40,7 @@ func (mw *Middleware) PostSubscription(origin dht.Key, lo, hi summary.Feature, l
 		return 0, err
 	}
 	mw.subResults[p.ID] = mw.openResults(p.Expiry())
-	dc.opSub.register(dc, p)
+	dc.opSub.register(p)
 	return p.ID, nil
 }
 
@@ -50,7 +50,7 @@ func (mw *Middleware) CancelSubscription(origin dht.Key, id query.ID) error {
 	if dc == nil {
 		return fmt.Errorf("core: unknown origin node %d", origin)
 	}
-	if !dc.opSub.cancel(dc, id) {
+	if !dc.opSub.cancel(id) {
 		return fmt.Errorf("core: subscription %d not registered at node %d", id, origin)
 	}
 	return nil
@@ -98,7 +98,7 @@ func (mw *Middleware) PostAggregate(origin dht.Key, lo, hi float64, lifespan sim
 		return 0, err
 	}
 	mw.aggFolds[q.ID] = cqe.NewSketchFold()
-	dc.opAgg.register(dc, q)
+	dc.opAgg.register(q)
 	return q.ID, nil
 }
 
@@ -167,7 +167,7 @@ func (mw *Middleware) PostTopK(origin dht.Key, k int, lo, hi float64, lifespan s
 	}
 	mw.topkTables[q.ID] = cqe.NewTopKTable()
 	mw.topkK[q.ID] = k
-	dc.opTopK.register(dc, q)
+	dc.opTopK.register(q)
 	return q.ID, nil
 }
 

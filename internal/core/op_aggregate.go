@@ -1,19 +1,19 @@
 package core
 
-// aggOp implements ECM-style windowed aggregates: every locally sourced
-// stream maintains an exponential-histogram sketch of its raw values
-// (Config.Sketches), published over the key range of each finished MBR so
-// the nodes holding a stream's summary also hold its sketch. A windowed
-// aggregate query registers at the nodes covering a routing-coordinate
-// range; each covering node pushes the matching sketches to the querying
-// node every period, where per-stream deduplication (highest sequence
-// wins) and sketch merging produce windowed counts and quantiles.
+// aggOp is the DataCenter part serving ECM-style windowed aggregates:
+// every locally sourced stream maintains an exponential-histogram sketch
+// of its raw values (Config.Sketches), published over the key range of
+// each finished MBR so the nodes holding a stream's summary also hold its
+// sketch. A windowed aggregate query registers at the nodes covering a
+// routing-coordinate range; each covering node pushes the matching
+// sketches to the querying node every period, where per-stream
+// deduplication (highest sequence wins) and sketch merging produce
+// windowed counts and quantiles.
 
 import (
 	"sort"
 	"sync"
 
-	"streamdex/internal/cqe"
 	"streamdex/internal/dht"
 	"streamdex/internal/query"
 	"streamdex/internal/sim"
@@ -52,43 +52,14 @@ func newAggOp(dc *DataCenter) *aggOp {
 	}
 }
 
-// Name implements cqe.Operator.
-func (o *aggOp) Name() string { return "aggregate" }
-
-// Kinds implements cqe.Operator.
-func (o *aggOp) Kinds() []dht.Kind { return []dht.Kind{KindSketch, KindAggQuery, KindAggReply} }
-
-// Deliver implements cqe.Operator (loop context).
-func (o *aggOp) Deliver(h cqe.Host, msg *dht.Message) {
-	switch msg.Kind {
-	case KindSketch:
-		o.onSketch(h, msg)
-	case KindAggQuery:
-		o.onAggQuery(h, msg)
-	case KindAggReply:
-		o.dc.mw.deliverAggReply(msg.Payload.(AggReplyMsg))
-	}
-}
-
-// DeliverData implements cqe.Operator: sketch absorption is worker-safe
-// (own lock, replace-wholesale semantics); query registration and reply
-// folding are loop state.
-func (o *aggOp) DeliverData(h cqe.Host, msg *dht.Message) bool {
-	if msg.Kind == KindSketch {
-		o.onSketch(h, msg)
-		return true
-	}
-	return false
-}
-
 // onSketch absorbs a replicated sketch, keeping the latest publication per
-// stream, and keeps the range multicast going.
-func (o *aggOp) onSketch(h cqe.Host, msg *dht.Message) {
+// stream, and keeps the range multicast going. Worker-safe.
+func (o *aggOp) onSketch(msg *dht.Message) {
 	p := msg.Payload.(SketchUpdate)
-	if p.Sketch != nil && h.Now() < sim.Time(p.Expiry) {
+	if p.Sketch != nil && o.dc.mw.clk.Now() < sim.Time(p.Expiry) {
 		o.absorb(p)
 	}
-	h.ContinueRange(msg)
+	dht.ContinueRange(o.dc.mw.net, o.dc.id, msg, 1)
 }
 
 // absorb installs the update unless a newer publication for the stream is
@@ -106,20 +77,21 @@ func (o *aggOp) absorb(p SketchUpdate) {
 
 // onAggQuery registers a standing aggregate query, replies immediately
 // with the sketches already held, and keeps the range multicast going.
-func (o *aggOp) onAggQuery(h cqe.Host, msg *dht.Message) {
+// Loop context.
+func (o *aggOp) onAggQuery(msg *dht.Message) {
 	p := msg.Payload.(AggQueryMsg)
-	if q := p.Q; q != nil && h.Now() < q.Expiry() {
+	if q := p.Q; q != nil && o.dc.mw.clk.Now() < q.Expiry() {
 		if _, known := o.aggs[q.ID]; !known {
 			o.aggs[q.ID] = q
-			o.report(h, q)
+			o.report(q)
 		}
 	}
-	h.ContinueRange(msg)
+	dht.ContinueRange(o.dc.mw.net, o.dc.id, msg, 1)
 }
 
 // report pushes every held sketch overlapping the query's coordinate
 // range to the querying node, sorted by stream id for determinism.
-func (o *aggOp) report(h cqe.Host, q *query.Aggregate) {
+func (o *aggOp) report(q *query.Aggregate) {
 	o.mu.Lock()
 	items := make([]StreamSketch, 0, len(o.sketches))
 	for sid, e := range o.sketches {
@@ -138,7 +110,8 @@ func (o *aggOp) report(h cqe.Host, q *query.Aggregate) {
 		o.dc.mw.deliverAggReply(payload)
 		return
 	}
-	h.Send(q.Origin, &dht.Message{Kind: KindAggReply, Payload: payload})
+	msg := sized(&dht.Message{Kind: KindAggReply, Payload: payload})
+	o.dc.mw.net.Send(o.dc.id, q.Origin, msg)
 }
 
 // publishLocal publishes the sketch snapshot of a locally sourced stream
@@ -146,7 +119,7 @@ func (o *aggOp) report(h cqe.Host, q *query.Aggregate) {
 // §IV-A) and replicated over the MBR's key range. sk must be a snapshot
 // the stream pipeline no longer mutates.
 func (o *aggOp) publishLocal(sid string, b *summary.MBR, sk *summary.Sketch) {
-	now := o.dc.Now()
+	now := o.dc.mw.clk.Now()
 	u := SketchUpdate{
 		StreamID: sid,
 		Seq:      b.Seq,
@@ -157,17 +130,14 @@ func (o *aggOp) publishLocal(sid string, b *summary.MBR, sk *summary.Sketch) {
 	}
 	o.absorb(u)
 	lo, hi := b.KeyRange(o.dc.mw.mapper)
-	o.dc.SendRange(lo, hi, &dht.Message{Kind: KindSketch, Payload: u})
+	msg := sized(&dht.Message{Kind: KindSketch, Payload: u})
+	dht.SendRange(o.dc.mw.net, o.dc.id, lo, hi, msg, o.dc.mw.cfg.RangeMode)
 }
 
-// OnMBR implements cqe.Operator: sketches ride the ingest path, not the
-// per-MBR hook.
-func (o *aggOp) OnMBR(h cqe.Host, b *summary.MBR) {}
-
-// Tick implements cqe.Operator: sweep expired sketches and registrations,
+// tick is the periodic slice: sweep expired sketches and registrations,
 // push the periodic sketch reports, and refresh this node's own standing
 // queries.
-func (o *aggOp) Tick(h cqe.Host, now sim.Time) {
+func (o *aggOp) tick(now sim.Time) {
 	o.mu.Lock()
 	for sid, e := range o.sketches {
 		if now >= e.expiry {
@@ -180,34 +150,20 @@ func (o *aggOp) Tick(h cqe.Host, now sim.Time) {
 			delete(o.aggs, id)
 			continue
 		}
-		o.report(h, q)
+		o.report(q)
 	}
-	for id, q := range o.mine {
-		if now >= q.Expiry() {
-			delete(o.mine, id)
-			continue
-		}
-		o.multicast(h, q)
-	}
+	refresh(o.mine, now, true, o.multicast)
 }
 
-// OnRingChange implements cqe.Operator: re-home immediately.
-func (o *aggOp) OnRingChange(h cqe.Host) {
-	now := h.Now()
-	for _, q := range o.mine {
-		if now < q.Expiry() {
-			o.multicast(h, q)
-		}
-	}
-}
-
-func (o *aggOp) multicast(h cqe.Host, q *query.Aggregate) {
+// multicast sends the query's registration over its coordinate range.
+func (o *aggOp) multicast(q *query.Aggregate) {
 	lo, hi := o.dc.mw.mapper.Range(q.Lo, q.Hi)
-	h.SendRange(lo, hi, &dht.Message{Kind: KindAggQuery, Payload: AggQueryMsg{Q: q}})
+	msg := sized(&dht.Message{Kind: KindAggQuery, Payload: AggQueryMsg{Q: q}})
+	dht.SendRange(o.dc.mw.net, o.dc.id, lo, hi, msg, o.dc.mw.cfg.RangeMode)
 }
 
 // register originates a standing aggregate query from this node.
-func (o *aggOp) register(h cqe.Host, q *query.Aggregate) {
+func (o *aggOp) register(q *query.Aggregate) {
 	o.mine[q.ID] = q
-	o.multicast(h, q)
+	o.multicast(q)
 }

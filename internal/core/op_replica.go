@@ -1,6 +1,7 @@
 package core
 
-// repOp implements hot-range load balancing (Config.Replicas > 1):
+// repOp is the DataCenter part serving hot-range load balancing
+// (Config.Replicas > 1):
 //
 //   - Replica tail: when an MBR's range multicast reaches its last natural
 //     coverer, the summary walks Replicas-1 further ring successors as
@@ -17,15 +18,14 @@ package core
 //     and the query then strides over the covering range, touching
 //     ~1/R of the coverers (dht.ContinueRange with stride R).
 //
-// Everything is gated on Replicas > 1: at the default (0) the operator
-// delivers nothing, ticks into an early return, and the historical message
+// Everything is gated on Replicas > 1: at the default (0) no replica or
+// load message is sent, the tick returns early, and the historical message
 // schedule — and the golden figure rows — are bitwise unchanged.
 
 import (
 	"sort"
 	"sync"
 
-	"streamdex/internal/cqe"
 	"streamdex/internal/dht"
 	"streamdex/internal/sim"
 	"streamdex/internal/summary"
@@ -62,38 +62,6 @@ func newRepOp(dc *DataCenter) *repOp {
 	}
 }
 
-// Name implements cqe.Operator.
-func (o *repOp) Name() string { return "replica" }
-
-// Kinds implements cqe.Operator.
-func (o *repOp) Kinds() []dht.Kind { return []dht.Kind{KindReplica, KindLoad} }
-
-// Deliver implements cqe.Operator (loop context).
-func (o *repOp) Deliver(h cqe.Host, msg *dht.Message) {
-	switch msg.Kind {
-	case KindReplica:
-		o.onReplica(msg)
-	case KindLoad:
-		o.onLoad(msg)
-	}
-}
-
-// DeliverData implements cqe.Operator: replica absorption is worker-safe
-// (the store carries its own locks, forwarding routes against the
-// lock-free ring view); load folds touch the shared view under its mutex,
-// so they are worker-safe too.
-func (o *repOp) DeliverData(h cqe.Host, msg *dht.Message) bool {
-	switch msg.Kind {
-	case KindReplica:
-		o.onReplica(msg)
-		return true
-	case KindLoad:
-		o.onLoad(msg)
-		return true
-	}
-	return false
-}
-
 // onReplica stores a replica copy and keeps the tail walk going. The same
 // admission gate as the natural ingest path applies: an overloaded node
 // sheds the store operation but still forwards, so the rest of the tail is
@@ -103,7 +71,7 @@ func (o *repOp) onReplica(msg *dht.Message) {
 	if p.MBR != nil && !p.MBR.Expired(o.dc.mw.clk.Now()) {
 		if o.dc.admit() {
 			o.dc.store.Put(p.MBR)
-			o.dc.engine.OnMBR(o.dc, p.MBR)
+			o.dc.onStored(p.MBR)
 		}
 		if p.TTL > 1 {
 			fwd := sized(&dht.Message{Kind: KindReplica, Src: msg.Src, Payload: ReplicaMsg{MBR: p.MBR, TTL: p.TTL - 1}})
@@ -121,10 +89,6 @@ func (o *repOp) sendTail(b *summary.MBR) {
 	msg := sized(&dht.Message{Kind: KindReplica, Src: o.dc.id, Payload: ReplicaMsg{MBR: b, TTL: o.r - 1}})
 	o.dc.mw.net.SendToSuccessor(o.dc.id, msg)
 }
-
-// OnMBR implements cqe.Operator: the replica walk observes stores through
-// onReplica/sendTail, not through the per-MBR fan-out.
-func (o *repOp) OnMBR(h cqe.Host, b *summary.MBR) {}
 
 // onLoad folds a successor's load report into the local view: the sender
 // is this node's direct successor, its Loads[0] is that successor's own
@@ -192,10 +156,10 @@ func (o *repOp) rateAt(k int) float64 {
 	return 0
 }
 
-// Tick implements cqe.Operator: sample the local delivery rate, gossip it
+// tick is the periodic slice: sample the local delivery rate, gossip it
 // (with the successor view shifted one hop) to the predecessor, and
 // republish this node's live MBRs so replica sets re-home after churn.
-func (o *repOp) Tick(h cqe.Host, now sim.Time) {
+func (o *repOp) tick(now sim.Time) {
 	if o.r <= 1 {
 		return
 	}
@@ -219,17 +183,16 @@ func (o *repOp) Tick(h cqe.Host, now sim.Time) {
 	report := sized(&dht.Message{Kind: KindLoad, Src: o.dc.id, SentAt: now, Payload: LoadMsg{Loads: loads}})
 	o.dc.mw.net.SendToPredecessor(o.dc.id, report)
 
-	o.republish(h, now)
+	o.republish(now)
 }
 
-// OnRingChange implements cqe.Operator: republish immediately so replicas
-// re-home with at most a stabilization round of staleness instead of
-// waiting out the push period.
-func (o *repOp) OnRingChange(h cqe.Host) {
+// onRingChange republishes immediately so replicas re-home with at most a
+// stabilization round of staleness instead of waiting out the push period.
+func (o *repOp) onRingChange(now sim.Time) {
 	if o.r <= 1 {
 		return
 	}
-	o.republish(h, h.Now())
+	o.republish(now)
 }
 
 // republish re-multicasts every live locally sourced MBR over its key
@@ -237,7 +200,7 @@ func (o *repOp) OnRingChange(h cqe.Host) {
 // stream/seq dedup rules) and the range-end node re-launches the tail, so
 // nodes that newly cover part of a range after churn converge within one
 // period.
-func (o *repOp) republish(h cqe.Host, now sim.Time) {
+func (o *repOp) republish(now sim.Time) {
 	o.mineMu.Lock()
 	var live []*summary.MBR
 	for sid, b := range o.mine {
@@ -253,6 +216,7 @@ func (o *repOp) republish(h cqe.Host, now sim.Time) {
 	sort.Slice(live, func(i, j int) bool { return live[i].StreamID < live[j].StreamID })
 	for _, b := range live {
 		lo, hi := b.KeyRange(o.dc.mw.mapper)
-		h.SendRange(lo, hi, &dht.Message{Kind: KindMBR, Payload: MBRUpdate{MBR: b}})
+		msg := sized(&dht.Message{Kind: KindMBR, Payload: MBRUpdate{MBR: b}})
+		dht.SendRange(o.dc.mw.net, o.dc.id, lo, hi, msg, o.dc.mw.cfg.RangeMode)
 	}
 }

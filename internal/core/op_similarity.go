@@ -1,89 +1,18 @@
 package core
 
-// simOp is the continuous similarity-query path (§IV-E/F) expressed as a
-// cqe.Operator: query dissemination, per-MBR matching, the periodic
-// neighbor funnel toward middle nodes, and response pushes. The mechanics
-// stay on DataCenter (they predate the engine); the operator is the
-// dispatch surface.
+// State of the continuous similarity-query path (§IV-E/F) at covering and
+// middle nodes: the per-MBR match, the subscriptions covering nodes hold
+// and the aggregators middle nodes hold. Dissemination, the periodic
+// neighbor funnel and response pushes are DataCenter methods.
 
 import (
-	"sort"
 	"sync"
 
-	"streamdex/internal/cqe"
 	"streamdex/internal/dht"
 	"streamdex/internal/query"
 	"streamdex/internal/sim"
 	"streamdex/internal/summary"
 )
-
-type simOp struct {
-	dc *DataCenter
-}
-
-// Name implements cqe.Operator.
-func (o *simOp) Name() string { return "similarity" }
-
-// Kinds implements cqe.Operator.
-func (o *simOp) Kinds() []dht.Kind { return []dht.Kind{KindQuery, KindNotify, KindResponse} }
-
-// Deliver implements cqe.Operator (loop context).
-func (o *simOp) Deliver(h cqe.Host, msg *dht.Message) {
-	switch msg.Kind {
-	case KindQuery:
-		o.dc.handleQuery(msg, true)
-	case KindNotify:
-		o.dc.onNotify(msg)
-	case KindResponse:
-		o.dc.mw.deliverSimilarity(o.dc.id, msg.Payload.(ResponseMsg))
-	}
-}
-
-// DeliverData implements cqe.Operator: query evaluation is worker-safe
-// (the ordering fence in handleQuery), the control kinds are not.
-func (o *simOp) DeliverData(h cqe.Host, msg *dht.Message) bool {
-	if msg.Kind == KindQuery {
-		o.dc.handleQuery(msg, false)
-		return true
-	}
-	return false
-}
-
-// OnMBR implements cqe.Operator: match the new summary against every
-// registered subscription (worker-safe; see matchNewMBR).
-func (o *simOp) OnMBR(h cqe.Host, b *summary.MBR) { o.dc.matchNewMBR(b) }
-
-// Tick implements cqe.Operator: the similarity slice of the historical
-// periodTick — sweep expired subscriptions, funnel detected similarities
-// one ring hop, push aggregated responses to clients and sweep expired
-// aggregators. A subscription leaves with what it detected in its last
-// period: drained straight to the middle node, which a hop-per-period
-// relay would no longer reach in time.
-func (o *simOp) Tick(h cqe.Host, now sim.Time) {
-	dc := o.dc
-	var expired []*simSub
-	dc.subMu.Lock()
-	for id, sub := range dc.subs {
-		if now >= sub.q.Expiry() {
-			delete(dc.subs, id)
-			expired = append(expired, sub)
-		}
-	}
-	dc.subMu.Unlock()
-	// Deterministic send order: map iteration order must not leak into the
-	// simulator's event schedule.
-	sort.Slice(expired, func(i, j int) bool { return expired[i].q.ID < expired[j].q.ID })
-	for _, sub := range expired {
-		dc.forwardCandidates(sub)
-	}
-	dc.flushNotifies(now)
-	dc.pushResponses(now)
-}
-
-// OnRingChange implements cqe.Operator. Similarity soft state already
-// survives churn adaptively (absorbOrRelay re-creates aggregators from
-// notify items), so no eager action is needed.
-func (o *simOp) OnRingChange(h cqe.Host) {}
 
 // MatchMBR tests a single, just-arrived MBR against a query feature.
 func MatchMBR(b *summary.MBR, q summary.Feature, radius float64) (float64, bool) {
@@ -110,52 +39,54 @@ func (s seqSet) add(stream string, seq uint64) bool {
 	return true
 }
 
-// simSub is one similarity subscription registered at a covering node. Its
-// detection state (seen, pending) is guarded by mu: on the live node new
-// MBRs are matched against it from data-plane workers while the run loop
-// flushes its pending candidates each push period. The query itself and
-// the middle key are immutable after construction.
-type simSub struct {
-	q         *query.Similarity
-	middleKey dht.Key
-
-	mu sync.Mutex
-	// seen deduplicates candidates per (stream, seq) so a re-stored or
-	// re-matched MBR is reported once by this node.
-	seen seqSet
-	// pending are candidates detected since the last push-period flush.
+// detections is the detection state of one standing query at a covering
+// node: seen deduplicates per (stream, seq), so a re-stored or re-matched
+// MBR is reported once by this node, and pending holds what was detected
+// since the last push. mu guards both: on the live node new MBRs are
+// matched from data-plane workers while the run loop drains pending.
+type detections struct {
+	mu      sync.Mutex
+	seen    seqSet
 	pending []query.Match
 }
 
-func newSimSub(q *query.Similarity, middle dht.Key) *simSub {
-	return &simSub{q: q, middleKey: middle, seen: seqSet{}}
-}
-
-// add records a candidate unless it was already reported.
-func (s *simSub) add(m query.Match) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.seen.add(m.StreamID, m.Seq) {
+// add records a detection unless it was already reported.
+func (d *detections) add(m query.Match) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.seen.add(m.StreamID, m.Seq) {
 		return false
 	}
-	s.pending = append(s.pending, m)
+	d.pending = append(d.pending, m)
 	return true
 }
 
-// addAll records a batch of candidates.
-func (s *simSub) addAll(ms []query.Match) {
+// addAll records a batch of detections.
+func (d *detections) addAll(ms []query.Match) {
 	for _, m := range ms {
-		s.add(m)
+		d.add(m)
 	}
 }
 
-// takePending returns and clears the pending candidates.
-func (s *simSub) takePending() []query.Match {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.pending
-	s.pending = nil
+// takePending returns and clears the pending detections.
+func (d *detections) takePending() []query.Match {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := d.pending
+	d.pending = nil
 	return out
+}
+
+// simSub is one similarity subscription registered at a covering node.
+// The query and the middle key are immutable after construction.
+type simSub struct {
+	q         *query.Similarity
+	middleKey dht.Key
+	detections
+}
+
+func newSimSub(q *query.Similarity, middle dht.Key) *simSub {
+	return &simSub{q: q, middleKey: middle, detections: detections{seen: seqSet{}}}
 }
 
 // aggregator is the middle-node state of one similarity query: it absorbs

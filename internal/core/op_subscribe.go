@@ -1,10 +1,10 @@
 package core
 
-// subOp implements standing pub/sub predicates over the MBR index: a
-// client registers a feature-space rectangle at every node covering its
-// key range; covering nodes match each arriving MBR against the
-// registered predicates and push detections back to the subscriber as
-// data-plane frames once per push period.
+// subOp is the DataCenter part serving standing pub/sub predicates over
+// the MBR index: a client registers a feature-space rectangle at every
+// node covering its key range; covering nodes match each arriving MBR
+// against the registered predicates and push detections back to the
+// subscriber as data-plane frames once per push period.
 //
 // Soft state and churn: registrations expire with their lifespan, and the
 // origin re-multicasts its own standing predicates every push period —
@@ -17,51 +17,23 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"streamdex/internal/cqe"
 	"streamdex/internal/dht"
 	"streamdex/internal/query"
 	"streamdex/internal/sim"
 	"streamdex/internal/summary"
 )
 
-// standingSub is one registered predicate at a covering node.
+// standingSub is one registered predicate at a covering node. Its
+// detections dedup across the walk at registration time and the per-MBR
+// path, which may see the same summary, and across range replication,
+// which re-stores summaries.
 type standingSub struct {
 	p *query.Predicate
-
-	mu sync.Mutex
-	// seen deduplicates detections per (stream, seq): the walk at
-	// registration time and the per-MBR path may see the same summary, and
-	// range replication re-stores summaries.
-	seen    seqSet
-	pending []query.Match
+	detections
 }
 
 func newStandingSub(p *query.Predicate) *standingSub {
-	return &standingSub{p: p, seen: seqSet{}}
-}
-
-// add records a detection unless already reported.
-func (s *standingSub) add(m query.Match) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seen.add(m.StreamID, m.Seq) {
-		s.pending = append(s.pending, m)
-	}
-}
-
-func (s *standingSub) addAll(ms []query.Match) {
-	for _, m := range ms {
-		s.add(m)
-	}
-}
-
-// takePending drains the detections accumulated since the last push.
-func (s *standingSub) takePending() []query.Match {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.pending
-	s.pending = nil
-	return out
+	return &standingSub{p: p, detections: detections{seen: seqSet{}}}
 }
 
 type subOp struct {
@@ -91,49 +63,21 @@ func newSubOp(dc *DataCenter) *subOp {
 // subscriptions registered at this node. Safe from any goroutine.
 func (dc *DataCenter) StandingSubCount() int { return int(dc.opSub.n.Load()) }
 
-// Name implements cqe.Operator.
-func (o *subOp) Name() string { return "subscribe" }
-
-// Kinds implements cqe.Operator.
-func (o *subOp) Kinds() []dht.Kind { return []dht.Kind{KindSub, KindSubMatch} }
-
-// Deliver implements cqe.Operator (loop context).
-func (o *subOp) Deliver(h cqe.Host, msg *dht.Message) {
-	switch msg.Kind {
-	case KindSub:
-		o.onSub(h, msg)
-	case KindSubMatch:
-		p := msg.Payload.(SubMatchMsg)
-		o.dc.mw.deliverSubMatch(p)
-	}
-}
-
-// DeliverData implements cqe.Operator: registration is worker-safe (the
-// table carries its own lock, the store walk is lock-free); match pushes
-// land in loop-confined client state.
-func (o *subOp) DeliverData(h cqe.Host, msg *dht.Message) bool {
-	if msg.Kind == KindSub {
-		o.onSub(h, msg)
-		return true
-	}
-	return false
-}
-
 // onSub registers (or cancels) a predicate and keeps the range multicast
 // going.
 //
 // Ordering fence (same as handleQuery): the predicate is registered
 // *before* the store walk, and publishers insert into the store *before*
-// the engine's per-MBR fan-out. Any MBR concurrent with the registration
-// is seen at least once — by the walk if its Put completed first, by the
-// publisher's OnMBR otherwise — and counted at most once through the
-// (stream, seq) dedup.
-func (o *subOp) onSub(h cqe.Host, msg *dht.Message) {
+// the per-MBR hooks. Any MBR concurrent with the registration is seen at
+// least once — by the walk if its Put completed first, by the publisher's
+// onMBR otherwise — and counted at most once through the (stream, seq)
+// dedup.
+func (o *subOp) onSub(msg *dht.Message) {
 	p := msg.Payload.(SubMsg)
 	if p.P != nil {
 		if p.Cancel {
 			o.remove(p.P.ID)
-		} else if now := h.Now(); now < p.P.Expiry() {
+		} else if now := o.dc.mw.clk.Now(); now < p.P.Expiry() {
 			o.mu.Lock()
 			sub := o.subs[p.P.ID]
 			fresh := sub == nil
@@ -148,7 +92,7 @@ func (o *subOp) onSub(h cqe.Host, msg *dht.Message) {
 			}
 		}
 	}
-	h.ContinueRange(msg)
+	dht.ContinueRange(o.dc.mw.net, o.dc.id, msg, 1)
 }
 
 func (o *subOp) remove(id query.ID) {
@@ -158,14 +102,14 @@ func (o *subOp) remove(id query.ID) {
 	o.mu.Unlock()
 }
 
-// OnMBR implements cqe.Operator: test the new summary against every
-// registered predicate. Runs on workers; the atomic short-circuit keeps
-// the hook free for the (default) deployment with no subscriptions.
-func (o *subOp) OnMBR(h cqe.Host, b *summary.MBR) {
+// onMBR tests a newly stored summary against every registered predicate.
+// Runs on workers; the atomic short-circuit keeps the hook free for the
+// (default) deployment with no subscriptions.
+func (o *subOp) onMBR(b *summary.MBR) {
 	if o.n.Load() == 0 {
 		return
 	}
-	now := h.Now()
+	now := o.dc.mw.clk.Now()
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	for _, sub := range o.subs {
@@ -178,10 +122,10 @@ func (o *subOp) OnMBR(h cqe.Host, b *summary.MBR) {
 	}
 }
 
-// Tick implements cqe.Operator: push pending detections to their
+// tick is the periodic slice: push pending detections to their
 // subscribers, sweep expired registrations, and refresh this node's own
 // standing predicates.
-func (o *subOp) Tick(h cqe.Host, now sim.Time) {
+func (o *subOp) tick(now sim.Time) {
 	type push struct {
 		origin dht.Key
 		p      SubMatchMsg
@@ -205,50 +149,40 @@ func (o *subOp) Tick(h cqe.Host, now sim.Time) {
 			o.dc.mw.deliverSubMatch(ps.p)
 			continue
 		}
-		h.Send(ps.origin, &dht.Message{Kind: KindSubMatch, Payload: ps.p})
+		msg := sized(&dht.Message{Kind: KindSubMatch, Payload: ps.p})
+		o.dc.mw.net.Send(o.dc.id, ps.origin, msg)
 	}
-	for id, p := range o.mine {
-		if now >= p.Expiry() {
-			delete(o.mine, id)
-			continue
-		}
-		o.multicast(h, p, false)
-	}
-}
-
-// OnRingChange implements cqe.Operator: re-home immediately instead of
-// waiting out the push period, so a subscription survives the crash of an
-// adjacent covering node with at most a stabilization round of downtime.
-func (o *subOp) OnRingChange(h cqe.Host) {
-	now := h.Now()
-	for _, p := range o.mine {
-		if now < p.Expiry() {
-			o.multicast(h, p, false)
-		}
-	}
+	refresh(o.mine, now, true, o.announce)
 }
 
 // multicast sends the registration (or cancellation) over the predicate's
 // key range.
-func (o *subOp) multicast(h cqe.Host, p *query.Predicate, cancel bool) {
+func (o *subOp) multicast(p *query.Predicate, cancel bool) {
 	lo, hi := p.KeyRange(o.dc.mw.mapper)
-	h.SendRange(lo, hi, &dht.Message{Kind: KindSub, Payload: SubMsg{P: p, Cancel: cancel}})
+	msg := sized(&dht.Message{Kind: KindSub, Payload: SubMsg{P: p, Cancel: cancel}})
+	dht.SendRange(o.dc.mw.net, o.dc.id, lo, hi, msg, o.dc.mw.cfg.RangeMode)
 }
 
+// announce multicasts the registration of a predicate this node
+// originated. Besides the first time, it runs every push period and on
+// every ring change, so a subscription survives the crash of an adjacent
+// covering node with at most a stabilization round of downtime.
+func (o *subOp) announce(p *query.Predicate) { o.multicast(p, false) }
+
 // register originates a standing predicate from this node (loop context).
-func (o *subOp) register(h cqe.Host, p *query.Predicate) {
+func (o *subOp) register(p *query.Predicate) {
 	o.mine[p.ID] = p
-	o.multicast(h, p, false)
+	o.announce(p)
 }
 
 // cancel withdraws a predicate this node originated.
-func (o *subOp) cancel(h cqe.Host, id query.ID) bool {
+func (o *subOp) cancel(id query.ID) bool {
 	p := o.mine[id]
 	if p == nil {
 		return false
 	}
 	delete(o.mine, id)
-	o.multicast(h, p, true)
+	o.multicast(p, true)
 	o.remove(id) // the origin may itself cover part of the range
 	return true
 }

@@ -1,7 +1,7 @@
 package core
 
-// topkOp implements distributed top-k maintenance over publication
-// frequencies: a monitor registers at every node covering a
+// topkOp is the DataCenter part serving distributed top-k maintenance over
+// publication frequencies: a monitor registers at every node covering a
 // routing-coordinate range; each covering node counts the MBR
 // publications landing in the range — counting a publication only at the
 // single node owning the key of its low coordinate, and there once per
@@ -57,38 +57,12 @@ func newTopKOp(dc *DataCenter) *topkOp {
 	}
 }
 
-// Name implements cqe.Operator.
-func (o *topkOp) Name() string { return "top-k" }
-
-// Kinds implements cqe.Operator.
-func (o *topkOp) Kinds() []dht.Kind { return []dht.Kind{KindTopK, KindTopKReport} }
-
-// Deliver implements cqe.Operator (loop context).
-func (o *topkOp) Deliver(h cqe.Host, msg *dht.Message) {
-	switch msg.Kind {
-	case KindTopK:
-		o.onTopK(h, msg)
-	case KindTopKReport:
-		o.dc.mw.deliverTopKReport(msg.Payload.(TopKReportMsg))
-	}
-}
-
-// DeliverData implements cqe.Operator: monitor registration is
-// worker-safe (own lock); report folding is loop state.
-func (o *topkOp) DeliverData(h cqe.Host, msg *dht.Message) bool {
-	if msg.Kind == KindTopK {
-		o.onTopK(h, msg)
-		return true
-	}
-	return false
-}
-
 // onTopK registers a monitor and keeps the range multicast going.
 // Counting starts at registration — frequency monitors observe the
-// publication stream, not the stored history.
-func (o *topkOp) onTopK(h cqe.Host, msg *dht.Message) {
+// publication stream, not the stored history. Worker-safe.
+func (o *topkOp) onTopK(msg *dht.Message) {
 	p := msg.Payload.(TopKMsg)
-	if q := p.Q; q != nil && h.Now() < q.Expiry() {
+	if q := p.Q; q != nil && o.dc.mw.clk.Now() < q.Expiry() {
 		o.mu.Lock()
 		if _, known := o.mons[q.ID]; !known {
 			o.mons[q.ID] = &topkMonitor{q: q, counts: make(map[string]uint64), seen: seqSet{}}
@@ -96,21 +70,21 @@ func (o *topkOp) onTopK(h cqe.Host, msg *dht.Message) {
 		}
 		o.mu.Unlock()
 	}
-	h.ContinueRange(msg)
+	dht.ContinueRange(o.dc.mw.net, o.dc.id, msg, 1)
 }
 
-// OnMBR implements cqe.Operator: count the publication at exactly one
-// node — the owner of the key of its low routing coordinate — for every
-// monitor whose range contains that coordinate.
-func (o *topkOp) OnMBR(h cqe.Host, b *summary.MBR) {
+// onMBR counts a newly stored publication at exactly one node — the owner
+// of the key of its low routing coordinate — for every monitor whose range
+// contains that coordinate. Runs on workers.
+func (o *topkOp) onMBR(b *summary.MBR) {
 	if o.n.Load() == 0 {
 		return
 	}
 	v := b.Lo[0]
-	if !h.Covers(o.dc.mw.mapper.KeyOf(v)) {
+	if !o.dc.mw.net.Covers(o.dc.id, o.dc.mw.mapper.KeyOf(v)) {
 		return
 	}
-	now := h.Now()
+	now := o.dc.mw.clk.Now()
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	for _, mon := range o.mons {
@@ -125,9 +99,9 @@ func (o *topkOp) OnMBR(h cqe.Host, b *summary.MBR) {
 	}
 }
 
-// Tick implements cqe.Operator: sweep expired monitors, push the
-// cumulative frequency tables, and refresh this node's own monitors.
-func (o *topkOp) Tick(h cqe.Host, now sim.Time) {
+// tick is the periodic slice: sweep expired monitors, push the cumulative
+// frequency tables, and refresh this node's own monitors.
+func (o *topkOp) tick(now sim.Time) {
 	type push struct {
 		origin dht.Key
 		p      TopKReportMsg
@@ -159,34 +133,21 @@ func (o *topkOp) Tick(h cqe.Host, now sim.Time) {
 			o.dc.mw.deliverTopKReport(ps.p)
 			continue
 		}
-		h.Send(ps.origin, &dht.Message{Kind: KindTopKReport, Payload: ps.p})
+		msg := sized(&dht.Message{Kind: KindTopKReport, Payload: ps.p})
+		o.dc.mw.net.Send(o.dc.id, ps.origin, msg)
 	}
-	for id, q := range o.mine {
-		if now >= q.Expiry() {
-			delete(o.mine, id)
-			continue
-		}
-		o.multicast(h, q)
-	}
+	refresh(o.mine, now, true, o.multicast)
 }
 
-// OnRingChange implements cqe.Operator: re-home immediately.
-func (o *topkOp) OnRingChange(h cqe.Host) {
-	now := h.Now()
-	for _, q := range o.mine {
-		if now < q.Expiry() {
-			o.multicast(h, q)
-		}
-	}
-}
-
-func (o *topkOp) multicast(h cqe.Host, q *query.TopK) {
+// multicast sends the monitor's registration over its coordinate range.
+func (o *topkOp) multicast(q *query.TopK) {
 	lo, hi := o.dc.mw.mapper.Range(q.Lo, q.Hi)
-	h.SendRange(lo, hi, &dht.Message{Kind: KindTopK, Payload: TopKMsg{Q: q}})
+	msg := sized(&dht.Message{Kind: KindTopK, Payload: TopKMsg{Q: q}})
+	dht.SendRange(o.dc.mw.net, o.dc.id, lo, hi, msg, o.dc.mw.cfg.RangeMode)
 }
 
 // register originates a frequency monitor from this node.
-func (o *topkOp) register(h cqe.Host, q *query.TopK) {
+func (o *topkOp) register(q *query.TopK) {
 	o.mine[q.ID] = q
-	o.multicast(h, q)
+	o.multicast(q)
 }

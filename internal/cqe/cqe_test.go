@@ -2,113 +2,11 @@ package cqe
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
-	"streamdex/internal/dht"
 	"streamdex/internal/sim"
 	"streamdex/internal/summary"
 )
-
-// fakeHost records sends; enough Host surface for registry tests.
-type fakeHost struct{ sent []dht.Key }
-
-func (f *fakeHost) ID() dht.Key                              { return 1 }
-func (f *fakeHost) Now() sim.Time                            { return 42 }
-func (f *fakeHost) Covers(dht.Key) bool                      { return true }
-func (f *fakeHost) Send(to dht.Key, msg *dht.Message)        { f.sent = append(f.sent, to) }
-func (f *fakeHost) SendRange(lo, hi dht.Key, m *dht.Message) {}
-func (f *fakeHost) ContinueRange(*dht.Message) int           { return 0 }
-func (f *fakeHost) PostToLoop(fn func())                     { fn() }
-
-type fakeOp struct {
-	name       string
-	kinds      []dht.Kind
-	delivered  []dht.Kind
-	data       bool // DeliverData return
-	dataCalls  int
-	mbrs       int
-	ticks      int
-	ringChange int
-}
-
-func (o *fakeOp) Name() string      { return o.name }
-func (o *fakeOp) Kinds() []dht.Kind { return o.kinds }
-func (o *fakeOp) Deliver(h Host, msg *dht.Message) {
-	o.delivered = append(o.delivered, msg.Kind)
-}
-func (o *fakeOp) DeliverData(h Host, msg *dht.Message) bool {
-	o.dataCalls++
-	return o.data
-}
-func (o *fakeOp) OnMBR(h Host, b *summary.MBR) { o.mbrs++ }
-func (o *fakeOp) Tick(h Host, now sim.Time)    { o.ticks++ }
-func (o *fakeOp) OnRingChange(h Host)          { o.ringChange++ }
-
-func TestEngineDispatchByKind(t *testing.T) {
-	e := NewEngine()
-	a := &fakeOp{name: "alpha", kinds: []dht.Kind{1, 2}}
-	b := &fakeOp{name: "beta", kinds: []dht.Kind{3}, data: true}
-	e.Register(a)
-	e.Register(b)
-
-	h := &fakeHost{}
-	if !e.Deliver(h, &dht.Message{Kind: 2}) {
-		t.Fatal("owned kind not dispatched")
-	}
-	if len(a.delivered) != 1 || a.delivered[0] != 2 {
-		t.Fatalf("alpha deliveries: %v", a.delivered)
-	}
-	if e.Deliver(h, &dht.Message{Kind: 9}) {
-		t.Fatal("unowned kind claimed")
-	}
-	if !e.DeliverData(h, &dht.Message{Kind: 3}) {
-		t.Fatal("beta refused its data delivery")
-	}
-	if e.DeliverData(h, &dht.Message{Kind: 1}) {
-		t.Fatal("alpha (loop-only) accepted a data delivery")
-	}
-	if op, ok := e.Operator(3); !ok || op != b {
-		t.Fatal("Operator lookup failed")
-	}
-	if got := e.Names(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
-		t.Fatalf("Names: %v", got)
-	}
-}
-
-func TestEngineFanOut(t *testing.T) {
-	e := NewEngine()
-	a := &fakeOp{name: "alpha", kinds: []dht.Kind{1}}
-	b := &fakeOp{name: "beta", kinds: []dht.Kind{2}}
-	e.Register(a)
-	e.Register(b)
-	h := &fakeHost{}
-	e.OnMBR(h, &summary.MBR{})
-	e.Tick(h, 7)
-	e.Tick(h, 8)
-	e.OnRingChange(h)
-	for _, op := range []*fakeOp{a, b} {
-		if op.mbrs != 1 || op.ticks != 2 || op.ringChange != 1 {
-			t.Fatalf("%s fan-out: mbrs=%d ticks=%d ring=%d", op.name, op.mbrs, op.ticks, op.ringChange)
-		}
-	}
-}
-
-func TestEngineDuplicateKindPanicsNamingBoth(t *testing.T) {
-	e := NewEngine()
-	e.Register(&fakeOp{name: "first", kinds: []dht.Kind{5}})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("duplicate kind registration did not panic")
-		}
-		msg, _ := r.(string)
-		if !strings.Contains(msg, "first") || !strings.Contains(msg, "second") {
-			t.Fatalf("panic %q does not name both operators", msg)
-		}
-	}()
-	e.Register(&fakeOp{name: "second", kinds: []dht.Kind{5}})
-}
 
 func TestSketchFoldKeepsLatestPerStream(t *testing.T) {
 	f := NewSketchFold()

@@ -1,3 +1,11 @@
+// Package cqe holds the origin-side folds of the continuous-query
+// operators: the state a querying node keeps while covering nodes push
+// partial results (per-stream sketches, per-node frequency tables) every
+// push period, folded into the client-facing answer. Both folds are
+// idempotent under the at-least-once delivery the range replication
+// produces — duplicate reports replace, never double-count. The operators
+// that produce the reports are parts of the middleware's DataCenter
+// (internal/core).
 package cqe
 
 import (
@@ -7,12 +15,6 @@ import (
 	"streamdex/internal/sim"
 	"streamdex/internal/summary"
 )
-
-// Folding state kept at querying nodes: covering nodes push partial results
-// (per-stream sketches, per-node frequency tables) every push period, and
-// the origin folds them into the client-facing answer. Both folds are
-// idempotent under the at-least-once delivery the range replication
-// produces — duplicate reports replace, never double-count.
 
 // SketchFold merges per-stream sketch reports for one aggregate query. The
 // MBR range replication stores every stream's sketch on several covering

@@ -108,10 +108,14 @@ func NewArena(stats *ArenaStats) *Arena {
 func (a *Arena) Stats() *ArenaStats { return a.stats }
 
 // Float64s carves an n-element float64 slice. The slice is zeroed, exactly
-// len n, and never reused or reclaimed by the arena.
+// len n, and never reused or reclaimed by the arena. A nil arena allocates
+// it on the heap.
 func (a *Arena) Float64s(n int) []float64 {
 	if n == 0 {
 		return nil
+	}
+	if a == nil {
+		return make([]float64, n)
 	}
 	a.stats.Carves.Add(1)
 	if n > len(a.floats) {
@@ -143,10 +147,13 @@ func (a *Arena) Msg() *dht.Message {
 // InternBytes returns b as a string, deduplicated through the arena's
 // intern table: a repeated identifier costs zero allocations (the
 // map[string(b)] lookup does not materialize the key). The returned
-// string never aliases b.
+// string never aliases b. A nil arena copies b without interning.
 func (a *Arena) InternBytes(b []byte) string {
 	if len(b) == 0 {
 		return ""
+	}
+	if a == nil {
+		return string(b)
 	}
 	if s, ok := a.intern[string(b)]; ok {
 		a.stats.InternHits.Add(1)
@@ -168,10 +175,11 @@ type ArenaDecoder interface {
 	DecodeArena(data []byte, a *Arena) (any, error)
 }
 
-// --- arena-aware Reader primitives (byte-exact mirrors of packed.go) ---
+// --- arena-aware Reader primitives (Floats and String are these with a
+// nil arena) ---
 
 // FloatsArena reads one AppendFloats value into arena-carved storage, nil
-// for an empty count. Wire-compatible with Floats in every way.
+// for an empty count.
 func (r *Reader) FloatsArena(a *Arena) []float64 {
 	n := r.Uvarint()
 	if r.err != nil || n == 0 {
@@ -190,7 +198,7 @@ func (r *Reader) FloatsArena(a *Arena) []float64 {
 }
 
 // StringArena reads one AppendString value through the arena's intern
-// table. Wire-compatible with String; the result never aliases the input.
+// table. The result never aliases the input.
 func (r *Reader) StringArena(a *Arena) string {
 	n := r.Uvarint()
 	if r.err != nil {

@@ -243,37 +243,10 @@ func (r *Reader) Float64() float64 {
 
 // String reads one AppendString value. The result is a copy, never an
 // alias of the underlying buffer.
-func (r *Reader) String() string {
-	n := r.Uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.Len()) {
-		r.Failf("wire: string of %d bytes with %d remaining", n, r.Len())
-		return ""
-	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
+func (r *Reader) String() string { return r.StringArena(nil) }
 
 // Floats reads one AppendFloats value, nil for an empty count.
-func (r *Reader) Floats() []float64 {
-	n := r.Uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(r.Len())/8 {
-		r.Failf("wire: %d floats with %d bytes remaining", n, r.Len())
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(r.data[r.off:]))
-		r.off += 8
-	}
-	return out
-}
+func (r *Reader) Floats() []float64 { return r.FloatsArena(nil) }
 
 // Ints reads one AppendInts value, nil for an empty count.
 func (r *Reader) Ints() []int {

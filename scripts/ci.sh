@@ -27,13 +27,19 @@
 #  10. operator parity (race) — the three continuous-query operators
 #                        (subscription, aggregate, top-k) on a live 5-node
 #                        TCP cluster must reproduce the simulator's answer
-#                        sets, and a subscription must survive the scripted
-#                        crash of every covering node
+#                        sets, a subscription must survive the scripted
+#                        crash of every covering node, and the data
+#                        center's dispatch must route all 18 middleware
+#                        kinds, accepting exactly the worker-safe ones on
+#                        the data plane (TestDispatchEveryKind)
 #  11. zero-alloc guards — the lock-free store walks (one shard and
 #                        eight, un-swept and in steady state), a sweep with
 #                        nothing to seal or drop and the arena decode must
 #                        stay allocation-free on their steady state, and a
-#                        steady-state Put must amortize under 0.1 allocs
+#                        steady-state Put must amortize under 0.1 allocs;
+#                        the wire marshal and sizing paths stay
+#                        allocation-free and the heap decode (the arena
+#                        decode with a nil arena) keeps its alloc bounds
 #  12. benchmark module — vet and race-test benchmark/ (its own module,
 #                        compiled against this tree's exported surface),
 #                        then `bash benchmark/run.sh -smoke`: all four
@@ -117,17 +123,19 @@ echo "== continuous-query operator parity (race) =="
 # Sim-vs-live parity for the subscription, aggregate and top-k operators
 # on a real 5-node TCP cluster, plus the scripted churn test: crash every
 # node covering a standing subscription and require detections to resume
-# from freshly re-homed registrations.
+# from freshly re-homed registrations. The dispatch test drives one message
+# of every kind through Deliver and DeliverData.
 go test -race -count=1 -run 'TestOperatorParitySimVsLive' ./internal/transport
-go test -race -count=1 -run 'TestSubscriptionSurvivesCoveringNodeCrash' ./internal/core
+go test -race -count=1 -run 'TestSubscriptionSurvivesCoveringNodeCrash|TestDispatchEveryKind' ./internal/core
 
-echo "== zero-alloc guards (store walks, idle sweep, amortized put, arena decode) =="
+echo "== zero-alloc guards (store walks, idle sweep, amortized put, arena and heap decode) =="
 # The lock-free read path is only lock-free if it also stays off the
 # allocator: a single alloc in the walk re-introduces GC coordination.
 # The write path must not creep back to a snapshot per put either.
 go test -count=1 \
     -run 'TestShardedStoreZeroAllocWalk|TestAppendCandidatesZeroAllocs|TestGenStoreIdleSweepAndWalkZeroAllocs|TestGenStorePutAmortizedAllocs|TestArenaDecodeZeroAllocAmortized' \
     ./internal/core
+go test -count=1 -run 'TestAppendMarshalZeroAllocs|TestSizeofZeroAllocsPacked|TestUnmarshalAllocBounds' ./internal/wire
 
 echo "== benchmark module: vet, race tests, four-workload smoke =="
 # benchmark/ is its own module compiled against this tree: a change to the
