@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"streamdex/internal/experiments"
+	"streamdex/internal/overlay"
 	"streamdex/internal/sim"
 	"streamdex/internal/workload"
 )
@@ -161,7 +162,7 @@ func main() {
 		measure = flag.Int("measure", 100, "measurement interval, seconds of virtual time")
 		workers = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		radius  = flag.Float64("radius", 0.1, "similarity query radius for load/hop experiments")
-		machine = flag.String("substrate", "", "routing substrate for the experiments: chord, koorde or pastry; empty = chord")
+		machine = flag.String("substrate", "", "routing substrate for the experiments: "+strings.Join(overlay.Names(), ", ")+"; empty = chord")
 	)
 	flag.Parse()
 

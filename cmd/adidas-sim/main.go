@@ -14,9 +14,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"streamdex/internal/dht"
 	"streamdex/internal/metrics"
+	"streamdex/internal/overlay"
 	"streamdex/internal/sim"
 	"streamdex/internal/workload"
 )
@@ -31,7 +33,7 @@ func main() {
 		beta      = flag.Int("beta", 25, "MBR batching factor")
 		window    = flag.Int("window", 4096, "sliding window size")
 		rangeMode = flag.String("range-mode", "seq", "range multicast: seq, bidi or tree")
-		substrate = flag.String("substrate", "chord", "routing substrate: a registered ring machine (chord, koorde) or pastry")
+		substrate = flag.String("substrate", "chord", "routing substrate: a registered machine ("+strings.Join(overlay.Names(), ", ")+")")
 		vnodes    = flag.Int("vnodes", 0, "virtual ring positions per node (0/1 = one)")
 		replicas  = flag.Int("replicas", 0, "covering-range replication factor (0/1 = off)")
 		skew      = flag.Float64("skew", 0, "Zipf exponent for query targeting (0 = uniform)")

@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	"streamdex"
@@ -65,7 +66,13 @@ func main() {
 		}
 	}
 	fmt.Printf("\nstreams similar to plant-A (radius 0.15):\n")
-	for sid, d := range best {
+	sids := make([]string, 0, len(best))
+	for sid := range best {
+		sids = append(sids, sid)
+	}
+	sort.Strings(sids)
+	for _, sid := range sids {
+		d := best[sid]
 		marker := ""
 		if d < 0.01 {
 			marker = "   <-- the planted twin (and the stream itself)"

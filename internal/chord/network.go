@@ -34,8 +34,9 @@ type Config struct {
 	// stabilization is enabled.
 	FixFingersEvery sim.Time
 	// Machine selects the routing machine from the overlay registry
-	// ("chord", "koorde"). Empty means "chord", the historical default;
-	// every other parameter applies unchanged to any machine.
+	// ("chord", "koorde", "pastry"). Empty means "chord", the historical
+	// default; every other parameter applies unchanged to any machine. A
+	// static machine (overlay.Factory.Static) takes no maintenance periods.
 	Machine string
 }
 
@@ -51,9 +52,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// Network simulates a Chord overlay: it owns the nodes, routes data-plane
-// messages hop by hop on the event engine, and reports traffic to the
-// observer. It implements dht.Network. All timing goes through the clock
+// Network simulates the overlay of the routing machine Config.Machine
+// names — Chord, Koorde or the static Pastry machine: it owns the nodes,
+// routes data-plane messages hop by hop on the event engine by the
+// machine's Covers and NextHop, and reports traffic to the observer. It
+// implements dht.Substrate. All timing goes through the clock
 // abstraction (a virtual view of the engine), so the protocol logic is
 // shared verbatim with clock-agnostic deployments.
 type Network struct {
@@ -94,6 +97,9 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		panic(fmt.Sprintf("chord: unknown routing machine %q (registered: %s)",
 			cfg.Machine, strings.Join(overlay.Names(), ", ")))
 	}
+	if fac.Static && cfg.StabilizeEvery > 0 {
+		panic(fmt.Sprintf("chord: static machine %q runs no maintenance", cfg.Machine))
+	}
 	return &Network{
 		clk:   clock.Virtual(eng),
 		cfg:   cfg,
@@ -121,6 +127,11 @@ func (net *Network) Space() dht.Space { return net.space }
 
 // Config returns the network configuration.
 func (net *Network) Config() Config { return net.cfg }
+
+// Static reports whether the hosted machine is static
+// (overlay.Factory.Static): BuildStable is its only construction, and it
+// has no join, maintenance or failure repair.
+func (net *Network) Static() bool { return net.fac.Static }
 
 // Dropped returns the number of data-plane messages lost because no live
 // next hop existed or a node failed with messages in flight toward it.

@@ -1,28 +1,30 @@
-// Package chord implements the Chord content-based routing protocol
-// (Stoica et al., SIGCOMM 2001) as a discrete-event simulation, standing in
-// for the publicly available Chord simulator the paper's prototype was
-// linked against (§V).
+// Package chord is the simulated overlay: a discrete-event network that
+// hosts any routing machine registered with internal/overlay — the Chord
+// protocol (Stoica et al., SIGCOMM 2001; internal/chord/protocol, the
+// default), Koorde and the static Pastry-style machine — standing in for
+// the publicly available Chord simulator the paper's prototype was linked
+// against (§V).
 //
 // It provides:
 //
 //   - the identifier circle with consistent hashing (package dht),
-//   - per-node finger tables giving O(log N) lookups (paper §II-B.1,
-//     Fig. 1),
-//   - successor lists and the join/stabilize/notify/fix-fingers maintenance
-//     protocol, so nodes can join, leave gracefully, or crash while the ring
-//     self-repairs,
+//   - per-node routing machines giving O(log N) lookups (Chord's finger
+//     tables, paper §II-B.1, Fig. 1),
+//   - joins, graceful leaves and crashes on machines with membership
+//     dynamics, the ring self-repairing through the machine's maintenance
+//     protocol; a static machine is built by BuildStable only,
 //   - a simulated network that routes application messages hop by hop with
 //     a constant per-hop delay (50 ms in the paper's configuration) and
 //     reports every transmission and delivery to an observer for the
 //     evaluation's message accounting.
 //
 // The control plane is the message-driven routing machine Config.Machine
-// names (internal/chord/protocol by default, on the shared overlay.Ring
-// backbone) — the same code the live TCP transport runs.
-// The simulator's adapter delivers its control messages through the event
-// engine with the per-hop delay, so maintenance traffic is observable and
-// chargeable exactly like data traffic, and churn scenarios exercise the
-// protocol that actually deploys.
+// names, on the shared overlay.Ring backbone — for Chord and Koorde the
+// same code the live TCP transport runs. The simulator's adapter delivers
+// control messages through the event engine with the per-hop delay, so
+// maintenance traffic is observable and chargeable exactly like data
+// traffic, and churn scenarios exercise the protocol that actually
+// deploys.
 package chord
 
 import (

@@ -29,6 +29,9 @@ const maxLookupSteps = 4096
 // acquires its predecessor, successor list and fingers through subsequent
 // stabilization rounds.
 func (net *Network) Join(id dht.Key, app dht.App, bootstrap dht.Key) (*Node, error) {
+	if net.fac.Static {
+		return nil, fmt.Errorf("chord: static machine %q has no join protocol", net.cfg.Machine)
+	}
 	b := net.nodes[bootstrap]
 	if b == nil || !b.alive {
 		return nil, fmt.Errorf("chord: bootstrap node %d not alive", bootstrap)
@@ -43,8 +46,12 @@ func (net *Network) Join(id dht.Key, app dht.App, bootstrap dht.Key) (*Node, err
 	return n, nil
 }
 
-// CreateFirst bootstraps a brand-new ring with a single node.
+// CreateFirst bootstraps a brand-new ring with a single node. A static
+// machine has no join protocol to grow that ring: BuildStable builds it.
 func (net *Network) CreateFirst(id dht.Key, app dht.App) *Node {
+	if net.fac.Static {
+		panic(fmt.Sprintf("chord: static machine %q has no join protocol; build it with BuildStable", net.cfg.Machine))
+	}
 	if len(net.aliveSorted) != 0 {
 		panic("chord: CreateFirst on a non-empty overlay")
 	}
@@ -163,9 +170,10 @@ func (net *Network) findSuccessorFrom(start *Node, key dht.Key) (dht.Key, bool) 
 	return 0, false
 }
 
-// Lookup resolves the successor node of key starting from node `from`,
-// returning the resolved node id and the number of control steps taken.
-// It is exposed for tests and tools; the data plane routes messages instead.
+// Lookup resolves the successor node of key starting from node `from` by
+// walking the machines' ClosestPreceding entries, and reports whether the
+// walk found it. It is exposed for tests and tools; the data plane routes
+// messages instead.
 func (net *Network) Lookup(from dht.Key, key dht.Key) (dht.Key, bool) {
 	n := net.nodes[from]
 	if n == nil || !n.alive {

@@ -61,8 +61,8 @@ type Middleware struct {
 }
 
 // New attaches the middleware to every live node of an existing overlay —
-// any dht.Substrate implementation (simulated Chord, Pastry-style, or the
-// live TCP transport). All periodic processes are scheduled on the
+// any dht.Substrate implementation (the simulated network with any routing
+// machine, or the live TCP transport). All periodic processes are scheduled on the
 // substrate's clock, so the same code runs in virtual and wall time. The
 // collector is installed as the network's traffic observer.
 func New(net dht.Substrate, cfg Config) (*Middleware, error) {

@@ -5,21 +5,21 @@ import (
 
 	"streamdex/internal/chord"
 	"streamdex/internal/dht"
-	"streamdex/internal/pastry"
+	_ "streamdex/internal/pastry" // register the pastry routing machine
 	"streamdex/internal/sim"
 	"streamdex/internal/stream"
 	"streamdex/internal/summary"
 )
 
-// The middleware must run unmodified on any dht.Substrate — the paper's
-// portability claim (§II-B). These tests execute the same end-to-end
-// scenario on the Pastry-style substrate that middleware_test.go runs on
-// Chord.
+// The middleware must run unmodified on every routing machine — the
+// paper's portability claim (§II-B). These tests execute the same
+// end-to-end scenario on the Pastry-style machine that middleware_test.go
+// runs on Chord.
 
-func pastryCluster(t *testing.T, n int, cfg Config) (*sim.Engine, *pastry.Network, *Middleware, []dht.Key) {
+func pastryCluster(t *testing.T, n int, cfg Config) (*sim.Engine, *chord.Network, *Middleware, []dht.Key) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := pastry.New(eng, pastry.Config{Space: cfg.Space, HopDelay: 50 * sim.Millisecond, LeafSize: 8})
+	net := chord.New(eng, chord.Config{Space: cfg.Space, HopDelay: 50 * sim.Millisecond, SuccListLen: 4, Machine: "pastry"})
 	ids := chord.SortKeys(chord.UniformIDs(cfg.Space, n))
 	net.BuildStable(ids, nil)
 	mw, err := New(net, cfg)

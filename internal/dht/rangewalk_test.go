@@ -7,15 +7,9 @@ import (
 	"streamdex/internal/chord"
 	"streamdex/internal/dht"
 	_ "streamdex/internal/koorde" // register the koorde routing machine
-	"streamdex/internal/pastry"
+	_ "streamdex/internal/pastry" // register the pastry routing machine
 	"streamdex/internal/sim"
 )
-
-// walkNet is a simulated substrate the property test can wire up.
-type walkNet interface {
-	dht.Substrate
-	BuildStable(ids []dht.Key, apps []dht.App)
-}
 
 // walkArc is one probe range [lo, hi]; full marks the whole-circle arc,
 // where the walk may legitimately deliver its boundary node twice.
@@ -26,7 +20,7 @@ type walkArc struct {
 }
 
 // TestRangeWalkProperty drives the one range walk of rangecast.go over
-// every substrate ({chord, koorde} on chord.Network, and pastry), mode,
+// every routing machine (chord, koorde and pastry, all on chord.Network), mode,
 // arc shape and stride, and checks each run against the membership oracle:
 //
 //   - every coverer is delivered (strided walks: every item is seen);
@@ -74,12 +68,7 @@ func checkRangeWalk(t *testing.T, sub string, ids []dht.Key, mode dht.RangeMode,
 	n := len(ids)
 	eng := sim.NewEngine()
 	space := dht.NewSpace(16)
-	var net walkNet
-	if sub == "pastry" {
-		net = pastry.New(eng, pastry.Config{Space: space, HopDelay: 50 * sim.Millisecond, LeafSize: 16})
-	} else {
-		net = chord.New(eng, chord.Config{Space: space, HopDelay: 50 * sim.Millisecond, SuccListLen: 8, Machine: sub})
-	}
+	net := chord.New(eng, chord.Config{Space: space, HopDelay: 50 * sim.Millisecond, SuccListLen: 8, Machine: sub})
 	net.BuildStable(ids, nil)
 
 	delivered := map[dht.Key]int{}

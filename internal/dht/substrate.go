@@ -11,10 +11,11 @@ import "streamdex/internal/clock"
 // interface provided by content-based routing schemes rather than on a
 // particular implementation", so that it can run "on top of virtually any
 // existing content-based routing implementation". This interface is that
-// boundary: package chord provides the primary simulated implementation
-// (with full join/leave/failure dynamics), package pastry a second,
-// prefix-routing one that demonstrates the portability claim, and package
-// transport a live TCP implementation where every node is a real process.
+// boundary: package chord provides the simulated implementation, one
+// network hosting every registered routing machine (Chord and Koorde with
+// full join/leave/failure dynamics, the static Pastry-style prefix router
+// that demonstrates the portability claim), and package transport a live
+// TCP implementation where every node is a real process.
 type Substrate interface {
 	Network
 

@@ -10,6 +10,7 @@ import (
 	"streamdex/internal/dsp"
 	"streamdex/internal/hierarchy"
 	"streamdex/internal/metrics"
+	"streamdex/internal/overlay"
 	"streamdex/internal/sim"
 	"streamdex/internal/stream"
 	"streamdex/internal/summary"
@@ -40,12 +41,20 @@ type MulticastRow struct {
 func RangeMulticast(substrate string, n int, widths []int) ([]MulticastRow, error) {
 	space := dht.NewSpace(20)
 	ids := chord.EquidistantIDs(space, n)
+	// Ring machines run A1 with a 4-entry successor list. A static
+	// machine's successor list is half its leaf set, its short-range
+	// routing state, so it keeps the 8 (L = 16) every other experiment
+	// gives it.
+	ring := chord.Config{Space: space, HopDelay: 50 * sim.Millisecond, SuccListLen: 4}
+	if fac, ok := overlay.Lookup(substrate); ok && fac.Static {
+		ring.SuccListLen = 8
+	}
 	rows := make([]MulticastRow, 0, len(widths))
 	var err error
 	run := func(width int, mode dht.RangeMode) (sim.Time, int) {
 		eng := sim.NewEngine()
-		var net workload.Substrate
-		if net, err = workload.NewSubstrate(eng, substrate, chord.Config{Space: space, HopDelay: 50 * sim.Millisecond, SuccListLen: 4}); err != nil {
+		var net *chord.Network
+		if net, err = workload.NewSubstrate(eng, substrate, ring); err != nil {
 			return 0, 0
 		}
 		net.BuildStable(ids, nil)

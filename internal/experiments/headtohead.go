@@ -1,11 +1,11 @@
 package experiments
 
 // Head-to-head routing-machine comparison: the same simulated substrate,
-// the same identifier placement, the same workload — once per registered
-// ring machine. Where ablation A7 (Substrates) compares the middleware on
-// Chord vs. the Pastry-style strawman, this experiment compares the two
-// registered control-plane machines (Chord's finger routing vs. Koorde's
-// de Bruijn walk) on the three axes the substrate-neutral refactor is
+// the same identifier placement, the same workload — once per ring
+// machine with membership dynamics. Where ablation A7 (Substrates)
+// compares the middleware on the Chord and static Pastry machines, this
+// experiment compares the two machines with maintenance (Chord's finger
+// routing vs. Koorde's de Bruijn walk) on the three axes the substrate-neutral refactor is
 // supposed to leave machine-specific:
 //
 //   - lookup cost: control-plane request forwards per resolved

@@ -9,7 +9,9 @@
 // content-based routing layer (§II-B); this package is that claim made
 // structural. internal/chord/protocol registers the Chord machine (the
 // backbone plus fingers), internal/koorde the de Bruijn machine (the
-// backbone plus a de Bruijn chain), and neither the simulated substrate
+// backbone plus a de Bruijn chain), internal/pastry the static
+// prefix-routing machine (the backbone plus a prefix table and the leaf
+// set's predecessor half), and neither the simulated substrate
 // (internal/chord.Network) nor the live socket adapter
 // (internal/transport.Node) knows which one it is driving.
 package overlay
@@ -87,7 +89,7 @@ type View interface {
 // goroutine via Handle / Tick / the maintenance tickers, and concurrent
 // readers use View.
 type Machine interface {
-	// Name returns the registered substrate name ("chord", "koorde").
+	// Name returns the registered machine name ("chord", "koorde", "pastry").
 	Name() string
 	// Self returns the node's own reference.
 	Self() Ref
@@ -113,7 +115,8 @@ type Machine interface {
 
 	// InstallRing force-feeds a perfect warm start: predecessor, successor
 	// list and — when non-nil — the machine's long-distance links (fingers
-	// on Chord, de Bruijn pointers on Koorde).
+	// on Chord, de Bruijn pointers on Koorde, the prefix table followed by
+	// the leaf set's predecessor half on Pastry).
 	InstallRing(pred *Ref, succList []Ref, longlinks []Ref)
 	// AdoptPredecessor, ClearPredecessor and AdoptSuccessors splice ring
 	// state during graceful leaves.
@@ -183,7 +186,7 @@ type DigitRouter interface {
 
 // Factory constructs machines of one substrate family.
 type Factory struct {
-	// Name is the registry key ("chord", "koorde").
+	// Name is the registry key ("chord", "koorde", "pastry").
 	Name string
 	// New builds a machine. send transmits one control message to a peer;
 	// it must be safe to call from the clock goroutine.
@@ -192,6 +195,11 @@ type Factory struct {
 	// warm start, given the sorted live ring (the oracle). The result
 	// feeds InstallRing. Nil means the machine repairs its links itself.
 	Longlinks func(cfg Config, ring []dht.Key, self dht.Key) []Ref
+	// Static marks a machine built by the warm start alone: it has no
+	// join protocol, issues no lookups and runs no maintenance (no
+	// membership dynamics). The simulated network refuses to join, create
+	// or maintain it.
+	Static bool
 }
 
 var registry = map[string]Factory{}

@@ -81,8 +81,8 @@ type RingHooks struct {
 	// Handle consumes every message the backbone does not speak: the
 	// lookup request FindReq builds and the machine's long-link traffic.
 	Handle func(msg any)
-	// Longlinks returns the machine's long-distance links in ascending
-	// order (the machine's own slice, not a copy).
+	// Longlinks returns the machine's long-distance links in the order
+	// EachRoutingEntry yields them (the machine's own slice, not a copy).
 	Longlinks func() []Ref
 	// InstallLonglinks replaces the long links wholesale (warm start).
 	InstallLonglinks func([]Ref)
@@ -692,9 +692,8 @@ func (r *Ring) SuccRefs() []Ref { return r.succList }
 // LonglinkCount reports how many long-distance links are installed.
 func (r *Ring) LonglinkCount() int { return len(r.hooks.Longlinks()) }
 
-// EachRoutingEntry calls fn for every routing entry: the long links
-// (ascending), then the successor list. Entries may repeat; callers
-// dedup.
+// EachRoutingEntry calls fn for every routing entry: the long links, then
+// the successor list. Entries may repeat; callers dedup.
 func (r *Ring) EachRoutingEntry(fn func(Ref)) {
 	for _, l := range r.hooks.Longlinks() {
 		fn(l)
@@ -787,8 +786,8 @@ type RingView struct {
 	// Succs is the successor list, nearest first. Empty until the node has
 	// joined a ring.
 	Succs []Ref
-	// Long holds the machine's long links in ascending order (populated
-	// fingers on Chord, the de Bruijn chain on Koorde).
+	// Long holds the machine's long links (populated fingers on Chord, the
+	// de Bruijn chain on Koorde, the prefix table on Pastry).
 	Long []Ref
 }
 

@@ -1,8 +1,8 @@
 // Package transport runs the middleware's content-based routing substrate
 // on real TCP sockets: every node is one OS process with a listener, a set
 // of outbound peer connections, and a wall-clock event loop. It implements
-// the same dht.Substrate contract as the simulated Chord and Pastry
-// overlays, so the entire middleware (package core) runs on it unchanged —
+// the same dht.Substrate contract as the simulated network and its
+// machines, so the entire middleware (package core) runs on it unchanged —
 // the portability the paper claims for "virtually any existing
 // content-based routing implementation", demonstrated live.
 //

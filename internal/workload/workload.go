@@ -15,6 +15,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -24,7 +25,7 @@ import (
 	_ "streamdex/internal/koorde" // register the koorde routing machine
 	"streamdex/internal/metrics"
 	"streamdex/internal/overlay"
-	"streamdex/internal/pastry"
+	_ "streamdex/internal/pastry" // register the pastry routing machine
 	"streamdex/internal/sim"
 	"streamdex/internal/stream"
 	"streamdex/internal/summary"
@@ -63,16 +64,16 @@ type Config struct {
 	// (default), true = idealized equidistant identifiers.
 	Equidistant bool
 
-	// Substrate selects the routing layer: any machine registered with
-	// internal/overlay — "chord" (default) or "koorde" — or "pastry",
-	// which is a separate substrate rather than a ring machine. The
-	// middleware runs unmodified on all of them (§II-B: the solution
-	// "can use virtually any P2P routing protocol").
+	// Substrate names the routing machine registered with
+	// internal/overlay — "chord" (default), "koorde" or "pastry" — that
+	// the simulated network hosts. The middleware runs unmodified on all
+	// of them (§II-B: the solution "can use virtually any P2P routing
+	// protocol").
 	Substrate string
 
 	// FailAt, when positive, crashes FailCount random nodes at that
-	// instant (after warm-up) — the resilience experiment. Requires the
-	// chord substrate with maintenance, which is enabled automatically.
+	// instant (after warm-up) — the resilience experiment. Maintenance is
+	// enabled automatically, so a static machine is refused.
 	FailAt    sim.Time
 	FailCount int
 
@@ -177,35 +178,22 @@ func (c Config) ring() chord.Config {
 	return rc
 }
 
-// Substrate is a simulated routing layer, empty until BuildStable wires a
-// perfect overlay over the given identifiers.
-type Substrate interface {
-	dht.Substrate
-	BuildStable(ids []dht.Key, apps []dht.App)
-}
-
-// NewSubstrate builds a simulated routing layer by name: "chord" (also the
-// empty name) or any other ring machine registered with internal/overlay
-// ("koorde"), hosted by chord.Network; or "pastry", a static
-// prefix-routing overlay. ring carries the identifier space, hop delay,
-// successor-list length and maintenance periods; its Machine field is
-// ignored. Maintenance (ring.StabilizeEvery > 0, what churn and failure
-// injection need) is an error on pastry, which has no membership dynamics.
-func NewSubstrate(eng *sim.Engine, name string, ring chord.Config) (Substrate, error) {
-	switch name {
-	case "pastry":
-		if ring.StabilizeEvery > 0 {
-			return nil, fmt.Errorf("workload: failure injection requires a ring substrate with maintenance")
-		}
-		return pastry.New(eng, pastry.Config{Space: ring.Space, HopDelay: ring.HopDelay, LeafSize: 16}), nil
-	case "":
-	default:
-		if _, ok := overlay.Lookup(name); !ok {
-			return nil, fmt.Errorf("workload: unknown substrate %q (registered machines: %s; also: pastry)",
-				name, strings.Join(overlay.Names(), ", "))
-		}
+// NewSubstrate builds the simulated network hosting the routing machine
+// registered with internal/overlay under name ("chord" when empty). ring
+// carries the identifier space, hop delay, successor-list length and
+// maintenance periods; its Machine field is ignored. Maintenance
+// (ring.StabilizeEvery > 0, what churn and failure injection need) is an
+// error on a static machine, which has no membership dynamics.
+func NewSubstrate(eng *sim.Engine, name string, ring chord.Config) (*chord.Network, error) {
+	ring.Machine = cmp.Or(name, "chord")
+	fac, ok := overlay.Lookup(ring.Machine)
+	if !ok {
+		return nil, fmt.Errorf("workload: unknown substrate %q (registered machines: %s)",
+			name, strings.Join(overlay.Names(), ", "))
 	}
-	ring.Machine = name
+	if fac.Static && ring.StabilizeEvery > 0 {
+		return nil, fmt.Errorf("workload: failure injection requires a ring substrate with maintenance")
+	}
 	return chord.New(eng, ring), nil
 }
 
@@ -213,7 +201,7 @@ func NewSubstrate(eng *sim.Engine, name string, ring chord.Config) (Substrate, e
 type Run struct {
 	Cfg Config
 	Eng *sim.Engine
-	Net dht.Substrate
+	Net *chord.Network
 	MW  *core.Middleware
 	IDs []dht.Key
 
@@ -308,16 +296,15 @@ func Build(cfg Config) (*Run, error) {
 	// FailAt; the ring repairs itself through stabilization while the
 	// workload keeps running.
 	if cfg.FailAt > 0 {
-		chordNet := net.(*chord.Network) // NewSubstrate refuses maintenance elsewhere
 		failRng := root.Fork("failures")
 		eng.ScheduleAt(cfg.Warmup+cfg.FailAt, func() {
 			for i := 0; i < cfg.FailCount; i++ {
-				victims := chordNet.NodeIDs()
+				victims := net.NodeIDs()
 				if len(victims) <= 2 {
 					break
 				}
 				v := victims[failRng.Intn(len(victims))]
-				chordNet.Fail(v)
+				net.Fail(v)
 				r.Failed = append(r.Failed, v)
 			}
 		})

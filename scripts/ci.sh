@@ -61,6 +61,10 @@
 #                        and TestTablesStableAcrossRuns: every adidas-bench
 #                        table on chord, koorde and pastry byte-identical
 #                        to cmd/adidas-bench/testdata/tables.golden
+#  15. examples        — build every example, run each binary twice and
+#                        cmp the two outputs: the examples run on the
+#                        seeded virtual clock, so each must repeat byte
+#                        for byte (5-45 ms a run)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -166,5 +170,17 @@ go test -race -count=1 -run 'TestLoadSkewGate|TestHeadToHeadGates|TestFirstAnswe
 # The experiment tables did not move: every registry entry on every
 # simulated substrate renders exactly the committed golden (sizes 8, 16).
 go test -count=1 -run 'TestTablesStableAcrossRuns' ./cmd/adidas-bench
+
+echo "== examples: each run twice, identical output =="
+# Nothing else runs the examples; examples/replay is the one user-facing
+# program on the pastry machine.
+exdir=$(mktemp -d)
+go build -o "$exdir/" ./examples/...
+for ex in "$exdir"/*; do
+    "$ex" > "$ex.1"
+    "$ex" > "$ex.2"
+    cmp "$ex.1" "$ex.2"
+done
+rm -rf "$exdir"
 
 echo "CI OK"

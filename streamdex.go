@@ -81,24 +81,21 @@ type ClusterOptions struct {
 	// Churn enables the ring-maintenance protocol so nodes can be failed
 	// and the overlay self-repairs (slightly more simulation work).
 	Churn bool
-	// Substrate selects the routing layer: "chord" (default) or "koorde",
-	// ring machines with full membership dynamics, or "pastry" (static
-	// prefix-routing overlay, no Churn). The middleware behaves
-	// identically on all of them.
+	// Substrate selects the routing machine: "chord" (default) or
+	// "koorde", with full membership dynamics, or "pastry", a static
+	// prefix-routing machine (no Churn, no FailNode). The middleware
+	// behaves identically on all of them.
 	Substrate string
 }
 
 // Cluster is a deployment of the distributed stream index over a simulated
-// Chord overlay — the public face of the library. All methods must be
-// called from one goroutine; time only advances inside Run.
+// overlay — the public face of the library. All methods must be called
+// from one goroutine; time only advances inside Run.
 type Cluster struct {
 	eng *sim.Engine
-	net dht.Substrate
-	// chordNet is non-nil on a ring machine (Chord, Koorde), enabling
-	// FailNode.
-	chordNet *chord.Network
-	mw       *core.Middleware
-	ids      []dht.Key
+	net *chord.Network
+	mw  *core.Middleware
+	ids []dht.Key
 }
 
 // NewCluster builds a stable overlay of opts.Nodes data centers with the
@@ -161,8 +158,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	chordNet, _ := net.(*chord.Network)
-	return &Cluster{eng: eng, net: net, chordNet: chordNet, mw: mw, ids: ids}, nil
+	return &Cluster{eng: eng, net: net, mw: mw, ids: ids}, nil
 }
 
 func fromDuration(d time.Duration) sim.Time {
@@ -264,13 +260,13 @@ func (c *Cluster) OnInnerProduct(fn func(QueryID, IPValue)) { c.mw.OnInnerProduc
 
 // FailNode crashes a data center abruptly. With ClusterOptions.Churn the
 // overlay detects the failure and self-repairs; stored summaries are soft
-// state and regenerate from live streams. It returns an error on the
-// static pastry substrate, which models a fixed deployment.
+// state and regenerate from live streams. A static machine ("pastry") has
+// no membership dynamics, so FailNode returns an error on it.
 func (c *Cluster) FailNode(id NodeID) error {
-	if c.chordNet == nil {
-		return fmt.Errorf("streamdex: node failure requires the chord substrate")
+	if c.net.Static() {
+		return fmt.Errorf("streamdex: node failure needs membership dynamics, which the static %s machine does not have", c.net.Config().Machine)
 	}
-	c.chordNet.Fail(id)
+	c.net.Fail(id)
 	return nil
 }
 

@@ -2,6 +2,8 @@ package streamdex
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -177,33 +179,46 @@ func TestStatsAndReset(t *testing.T) {
 	}
 }
 
+// TestChurnSurvivesFailure: on each ring machine with membership
+// dynamics, crashed nodes are repaired around and a planted twin is still
+// found afterwards.
 func TestChurnSurvivesFailure(t *testing.T) {
-	opts := smallOpts()
-	opts.Churn = true
-	opts.Nodes = 14
-	c, err := NewCluster(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := c.Nodes()
-	gen := stream.DefaultRandomWalk(sim.NewRand(7))
-	if err := c.AddStreamPrefilled(nodes[0], "s", gen, 100*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(5 * time.Second)
-	c.FailNode(nodes[6])
-	c.FailNode(nodes[10])
-	c.Run(15 * time.Second) // heal
-	qid, err := c.SimilarityQueryToStream(nodes[0], "s", 0.5, 15*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(12 * time.Second)
-	if len(c.MatchedStreams(qid)) == 0 {
-		t.Fatal("no matches after failures")
-	}
-	if len(c.Nodes()) != 12 {
-		t.Fatalf("live nodes = %d, want 12", len(c.Nodes()))
+	for _, machine := range []string{"chord", "koorde"} {
+		t.Run(machine, func(t *testing.T) {
+			opts := smallOpts()
+			opts.Churn = true
+			opts.Nodes = 14
+			opts.Substrate = machine
+			c, err := NewCluster(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := c.Nodes()
+			for i, at := range []NodeID{nodes[0], nodes[8]} {
+				gen := stream.DefaultRandomWalk(sim.NewRand(7))
+				if err := c.AddStreamPrefilled(at, []string{"s", "twin"}[i], gen, 100*time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Run(5 * time.Second)
+			for _, v := range []NodeID{nodes[6], nodes[10]} {
+				if err := c.FailNode(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Run(15 * time.Second) // heal
+			qid, err := c.SimilarityQueryToStream(nodes[0], "s", 0.5, 15*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Run(12 * time.Second)
+			if !slices.Contains(c.MatchedStreams(qid), "twin") {
+				t.Fatalf("planted twin not found after failures: %v", c.MatchedStreams(qid))
+			}
+			if len(c.Nodes()) != 12 {
+				t.Fatalf("live nodes = %d, want 12", len(c.Nodes()))
+			}
+		})
 	}
 }
 
@@ -235,9 +250,9 @@ func TestPastrySubstrateEndToEnd(t *testing.T) {
 	if !found["twin-b"] {
 		t.Fatalf("planted twin not found on pastry; matched %v", c.MatchedStreams(qid))
 	}
-	// Failure injection is a chord feature.
-	if err := c.FailNode(nodes[1]); err == nil {
-		t.Fatal("FailNode on pastry should error")
+	// A static machine has no membership dynamics to fail a node in.
+	if err := c.FailNode(nodes[1]); err == nil || !strings.Contains(err.Error(), "membership dynamics") {
+		t.Fatalf("FailNode on pastry: %v, want the static-machine error", err)
 	}
 }
 
