@@ -39,9 +39,9 @@ func TestSubscriptionSurvivesCoveringNodeCrash(t *testing.T) {
 		out := make(map[dht.Key]bool)
 		for _, id := range ids {
 			o := mw.DataCenter(id).opSub
-			o.mu.RLock()
+			o.mu.Lock()
 			_, ok := o.subs[subID]
-			o.mu.RUnlock()
+			o.mu.Unlock()
 			if ok {
 				out[id] = true
 			}

@@ -26,10 +26,12 @@ import (
 // DeliverData for MBR publishes and query evaluations, ingest closures for
 // stream ticks — while everything else (notify absorption, aggregators,
 // the location service, response pushes) stays confined to the run loop.
-// The shared state those two planes touch is the sharded store (internally
-// locked), the subscription table (subMu), each subscription's detection
-// state (simSub.mu) and each local stream's summary pipeline
-// (localStream.mu).
+// The shared state those two planes touch is the sharded store (lock-free
+// reads), the standing table (lock-free walk, writers serialized), each
+// standing query's detection state (detections.mu), the id maps the
+// registration paths consult (subMu, subOp.mu, never taken per MBR), the
+// stream-id intern table (read-locked on its hit path) and each local
+// stream's summary pipeline (localStream.mu).
 type DataCenter struct {
 	id dht.Key
 	mw *Middleware
@@ -42,10 +44,16 @@ type DataCenter struct {
 	// store is the index partition: MBRs this node covers by content.
 	store *Store
 
-	// subs are the similarity subscriptions whose key range covers this
-	// node, guarded by subMu: workers register subscriptions and match new
-	// MBRs against them while the loop sweeps and flushes.
-	subMu sync.RWMutex
+	// standing holds every standing query registered here — similarity
+	// subscriptions and predicates — in registration order; each arriving
+	// MBR walks it without a lock.
+	standing *standingTable
+
+	// subs indexes the similarity subscriptions whose key range covers
+	// this node by query id, guarded by subMu: workers register
+	// subscriptions while the loop sweeps them. Each one is also a
+	// standing-table entry; subMu is held across both updates.
+	subMu sync.Mutex
 	subs  map[query.ID]*simSub
 
 	// aggs are the queries for which this node is the middle node.
@@ -134,6 +142,7 @@ func newDataCenter(id dht.Key, mw *Middleware) *DataCenter {
 		mw:        mw,
 		streams:   make(map[string]*localStream),
 		store:     NewShardedStore(mw.cfg.StoreShards),
+		standing:  newStandingTable(mw.cfg.FeatureDims),
 		subs:      make(map[query.ID]*simSub),
 		aggs:      make(map[query.ID]*aggregator),
 		ipSubs:    make(map[query.ID]*ipSubState),
@@ -158,8 +167,8 @@ func (dc *DataCenter) Store() *Store { return dc.store }
 // SubCount returns the number of similarity subscriptions registered here.
 // Safe from any goroutine.
 func (dc *DataCenter) SubCount() int {
-	dc.subMu.RLock()
-	defer dc.subMu.RUnlock()
+	dc.subMu.Lock()
+	defer dc.subMu.Unlock()
 	return len(dc.subs)
 }
 
@@ -329,36 +338,15 @@ func (dc *DataCenter) publishMBR(b *summary.MBR) {
 	dht.SendRange(dc.mw.net, dc.id, lo, hi, msg, dc.mw.cfg.RangeMode)
 }
 
-// matchNewMBR tests a just-arrived MBR against every registered
-// subscription. Runs under the subscription read lock so it can execute on
-// any number of workers at once; simSub.add serializes per subscription.
-func (dc *DataCenter) matchNewMBR(b *summary.MBR) {
-	now := dc.mw.clk.Now()
-	dc.subMu.RLock()
-	defer dc.subMu.RUnlock()
-	for _, sub := range dc.subs {
-		if now >= sub.q.Expiry() {
-			continue
-		}
-		if d, ok := MatchMBR(b, sub.q.Feature, sub.q.Radius); ok {
-			sub.add(query.Match{
-				StreamID: b.StreamID,
-				Seq:      b.Seq,
-				DistLB:   d,
-				FoundAt:  now,
-				Node:     dc.id,
-			})
-		}
-	}
-}
-
 // onStored runs the per-MBR hooks for a summary just put into the local
-// store, in the fixed order similarity, subscribe, top-k (the other
-// operators have none). Worker context on the live node: each hook
-// carries its own locks and costs one atomic load when idle.
+// store: one walk of the standing table (similarity subscriptions and
+// predicates), then the top-k count (the other operators have none).
+// Worker context on the live node: each hook costs one atomic load when
+// idle.
 func (dc *DataCenter) onStored(b *summary.MBR) {
-	dc.matchNewMBR(b)
-	dc.opSub.onMBR(b)
+	if s := dc.standing.load(); len(s.ents) > 0 {
+		s.match(b, dc.mw.clk.Now(), dc.id, dc.mw.sids)
+	}
 	dc.opTopK.onMBR(b)
 }
 
@@ -511,14 +499,15 @@ func (dc *DataCenter) AdmitShedCount() int64 { return dc.admitShed.Load() }
 // push period), and continues the range multicast. onLoop distinguishes the
 // serialized path (simulator, pool-less node) from a pool worker.
 //
-// Ordering fence: the subscription is registered *before* the store walk,
-// and publishers insert into the store *before* matching subscriptions
-// (publishMBR/onMBR). Any MBR concurrent with this query is therefore seen
-// at least once — by the walk if its Put completed first, by the
-// publisher's matchNewMBR otherwise (which finds the already-registered
-// subscription) — and at most counted once, since simSub.add deduplicates
-// by (stream, seq). The QUERY candidate-set semantics are exactly the
-// serialized ones.
+// Ordering fence: the subscription is published in the standing table
+// *before* the store walk, and publishers insert into the store *before*
+// loading the table (publishMBR/onMBR via onStored). Any MBR concurrent
+// with this query is therefore seen at least once — by the walk if its Put
+// completed first, by the publisher's table walk otherwise (which loads a
+// snapshot holding the subscription) — and at most counted once, since
+// detections dedup by (stream, seq). The QUERY candidate-set semantics are
+// exactly the serialized ones. A query whose feature does not have the
+// node's dimensionality could match no stored MBR and is not registered.
 func (dc *DataCenter) handleQuery(msg *dht.Message, onLoop bool) {
 	p := msg.Payload.(SimQuery)
 	r := dc.mw.cfg.Replicas
@@ -548,13 +537,14 @@ func (dc *DataCenter) handleQuery(msg *dht.Message, onLoop bool) {
 		}
 	}
 	now := dc.mw.clk.Now()
-	if now < p.Q.Expiry() {
+	if now < p.Q.Expiry() && len(p.Q.Feature) == dc.mw.cfg.FeatureDims {
 		dc.subMu.Lock()
 		sub := dc.subs[p.Q.ID]
 		fresh := sub == nil
 		if fresh {
 			sub = newSimSub(p.Q, p.MiddleKey)
 			dc.subs[p.Q.ID] = sub
+			dc.standing.addSim(sub)
 		}
 		dc.subMu.Unlock()
 		if fresh {
@@ -564,7 +554,7 @@ func (dc *DataCenter) handleQuery(msg *dht.Message, onLoop bool) {
 			}
 			*scratch = dc.store.AppendCandidates((*scratch)[:0], p.Q.Feature, p.Q.Radius, now, dc.id)
 			found := len(*scratch) > 0
-			sub.addAll(*scratch)
+			sub.addAll(dc.mw.sids, *scratch)
 			dc.matchScratch.Put(scratch)
 			if middle := dc.mw.net.Covers(dc.id, p.MiddleKey); middle || found {
 				// Aggregators and routed sends belong to the loop, so a
@@ -648,7 +638,7 @@ func (dc *DataCenter) absorbOrRelay(item NotifyItem) {
 			agg = newAggregator(item.QueryID, item.ClientKey, sim.Time(item.Expiry))
 			dc.aggs[item.QueryID] = agg
 		}
-		agg.absorb(item.Matches)
+		agg.absorb(dc.mw.sids, item.Matches)
 		if !agg.delivered && len(agg.pending) > 0 {
 			// The query's first match goes to the client now; from here
 			// on the aggregator answers once per push period.
@@ -796,12 +786,16 @@ func (dc *DataCenter) similarityTick(now sim.Time) {
 			expired = append(expired, sub)
 		}
 	}
+	if len(expired) > 0 {
+		dc.standing.removeIf(func(e *standingEntry) bool { return e.sim != nil && now >= e.expiry }, true)
+	}
 	dc.subMu.Unlock()
 	// Deterministic send order: map iteration order must not leak into the
 	// simulator's event schedule.
 	sort.Slice(expired, func(i, j int) bool { return expired[i].q.ID < expired[j].q.ID })
 	for _, sub := range expired {
 		dc.forwardCandidates(sub)
+		sub.retire()
 	}
 	dc.flushNotifies(now)
 	dc.pushResponses(now)
@@ -833,19 +827,21 @@ func (dc *DataCenter) flushNotifies(now sim.Time) {
 	}
 	dc.relay = nil
 
-	// The read lock keeps worker-side registrations out of the iteration;
-	// per-subscription pending sets drain through their own mutex.
-	dc.subMu.RLock()
-	for id, sub := range dc.subs {
-		if now >= sub.q.Expiry() {
+	// Items go out in registration order, from a table snapshot: a worker
+	// registering meanwhile lands in the next one. Per-subscription pending
+	// sets drain through their own mutex.
+	for _, e := range dc.standing.load().ents {
+		sub := e.sim
+		if sub == nil || now >= e.expiry {
 			continue
 		}
+		id := sub.q.ID
 		pending := sub.takePending()
 		if dc.mw.net.Covers(dc.id, sub.middleKey) {
 			// This node is the middle node: its own candidates go
 			// straight into the aggregator.
 			if agg := dc.aggs[id]; agg != nil {
-				agg.absorb(pending)
+				agg.absorb(dc.mw.sids, pending)
 			}
 			continue
 		}
@@ -867,7 +863,6 @@ func (dc *DataCenter) flushNotifies(now sim.Time) {
 			Matches:   pending,
 		})
 	}
-	dc.subMu.RUnlock()
 
 	if len(toSucc) > 0 || dirSucc {
 		msg := sized(&dht.Message{Kind: KindNotify, Src: dc.id, SentAt: now, Payload: NotifyBatch{Items: toSucc}})

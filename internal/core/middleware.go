@@ -27,6 +27,10 @@ type Middleware struct {
 
 	dcs map[dht.Key]*DataCenter
 
+	// sids interns stream ids for every (stream, seq) dedup set of this
+	// deployment's data centers and result tables.
+	sids *streamIndex
+
 	nextQueryID query.ID
 
 	// Client-side result tracking. simResults and subResults hold one
@@ -80,6 +84,7 @@ func New(net dht.Substrate, cfg Config) (*Middleware, error) {
 		col:         metrics.NewCollector(classifier{}),
 		rng:         sim.NewRand(cfg.Seed).Fork("middleware"),
 		dcs:         make(map[dht.Key]*DataCenter),
+		sids:        newStreamIndex(),
 		simResults:  make(map[query.ID]*resultTable),
 		simResponse: make(map[query.ID]int),
 		ipValues:    make(map[query.ID][]query.IPValue),
@@ -305,7 +310,7 @@ func (mw *Middleware) absorb(r *resultTable, matches []query.Match) []query.Matc
 	}
 	var fresh []query.Match
 	for _, m := range matches {
-		if !r.seen.add(m.StreamID, m.Seq) {
+		if !r.seen.add(mw.sids.key(m.StreamID, m.Seq)) {
 			continue
 		}
 		if fresh == nil {

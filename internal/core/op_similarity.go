@@ -6,6 +6,7 @@ package core
 // neighbor funnel and response pushes are DataCenter methods.
 
 import (
+	"strings"
 	"sync"
 
 	"streamdex/internal/dht"
@@ -20,41 +21,76 @@ func MatchMBR(b *summary.MBR, q summary.Feature, radius float64) (float64, bool)
 	return d, d <= radius
 }
 
+// seqKey names one MBR for dedup: the stream's index in the middleware's
+// streamIndex and the MBR's sequence number. It holds no pointer, so a
+// dedup set neither pins the (possibly arena-decoded) id strings it saw
+// nor gives the garbage collector anything to scan.
+type seqKey struct {
+	stream uint32
+	seq    uint64
+}
+
 // seqSet is a set of (stream, seq) pairs: the dedup state of everything
 // that reports an MBR at most once. Not safe for concurrent use; owners
 // that are shared across goroutines guard it with their own mutex.
-type seqSet map[string]map[uint64]bool
+type seqSet map[seqKey]struct{}
 
-// add inserts the pair and reports whether it was absent.
-func (s seqSet) add(stream string, seq uint64) bool {
-	seqs := s[stream]
-	if seqs == nil {
-		seqs = make(map[uint64]bool)
-		s[stream] = seqs
+// add inserts the key and reports whether it was absent: one hash probe,
+// which finds a present key without writing or allocating.
+func (s seqSet) add(k seqKey) bool {
+	n := len(s)
+	s[k] = struct{}{}
+	return len(s) > n
+}
+
+// streamIndex interns stream ids into dense indices, one table per
+// Middleware. The hit path takes the read lock only and does not allocate;
+// a miss stores a private copy of the id, so an interned id never pins the
+// buffer it was decoded from. Indices are never reused.
+type streamIndex struct {
+	mu  sync.RWMutex
+	ids map[string]uint32
+}
+
+func newStreamIndex() *streamIndex {
+	return &streamIndex{ids: make(map[string]uint32)}
+}
+
+// key returns the dedup key of one MBR, interning its stream id on first
+// sight.
+func (x *streamIndex) key(stream string, seq uint64) seqKey {
+	x.mu.RLock()
+	id, ok := x.ids[stream]
+	x.mu.RUnlock()
+	if !ok {
+		x.mu.Lock()
+		if id, ok = x.ids[stream]; !ok {
+			id = uint32(len(x.ids))
+			x.ids[strings.Clone(stream)] = id
+		}
+		x.mu.Unlock()
 	}
-	if seqs[seq] {
-		return false
-	}
-	seqs[seq] = true
-	return true
+	return seqKey{stream: id, seq: seq}
 }
 
 // detections is the detection state of one standing query at a covering
 // node: seen deduplicates per (stream, seq), so a re-stored or re-matched
 // MBR is reported once by this node, and pending holds what was detected
 // since the last push. mu guards both: on the live node new MBRs are
-// matched from data-plane workers while the run loop drains pending.
+// matched from data-plane workers while the run loop drains pending. A
+// retired query (seen nil) records nothing more.
 type detections struct {
 	mu      sync.Mutex
 	seen    seqSet
 	pending []query.Match
 }
 
-// add records a detection unless it was already reported.
-func (d *detections) add(m query.Match) bool {
+// add records a detection under its dedup key unless it was already
+// reported.
+func (d *detections) add(k seqKey, m query.Match) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.seen.add(m.StreamID, m.Seq) {
+	if d.seen == nil || !d.seen.add(k) {
 		return false
 	}
 	d.pending = append(d.pending, m)
@@ -62,9 +98,9 @@ func (d *detections) add(m query.Match) bool {
 }
 
 // addAll records a batch of detections.
-func (d *detections) addAll(ms []query.Match) {
+func (d *detections) addAll(sids *streamIndex, ms []query.Match) {
 	for _, m := range ms {
-		d.add(m)
+		d.add(sids.key(m.StreamID, m.Seq), m)
 	}
 }
 
@@ -75,6 +111,16 @@ func (d *detections) takePending() []query.Match {
 	out := d.pending
 	d.pending = nil
 	return out
+}
+
+// retire releases the state of a query swept after its last push. Its
+// standing-table entry may outlive it until the table compacts, and a walk
+// that read the clock before the sweep may still reach it; such a late
+// detection is dropped.
+func (d *detections) retire() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.seen, d.pending = nil, nil
 }
 
 // simSub is one similarity subscription registered at a covering node.
@@ -111,9 +157,9 @@ func newAggregator(id query.ID, client dht.Key, expiry sim.Time) *aggregator {
 	return &aggregator{queryID: id, client: client, expiry: expiry, seen: seqSet{}}
 }
 
-func (a *aggregator) absorb(ms []query.Match) {
+func (a *aggregator) absorb(sids *streamIndex, ms []query.Match) {
 	for _, m := range ms {
-		if a.seen.add(m.StreamID, m.Seq) {
+		if a.seen.add(sids.key(m.StreamID, m.Seq)) {
 			a.pending = append(a.pending, m)
 		}
 	}

@@ -15,12 +15,10 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"streamdex/internal/dht"
 	"streamdex/internal/query"
 	"streamdex/internal/sim"
-	"streamdex/internal/summary"
 )
 
 // standingSub is one registered predicate at a covering node. Its
@@ -39,12 +37,12 @@ func newStandingSub(p *query.Predicate) *standingSub {
 type subOp struct {
 	dc *DataCenter
 
-	// mu guards subs: workers register predicates and match MBRs against
-	// them while the loop sweeps and pushes. n mirrors len(subs) so the
-	// per-MBR hook costs one atomic load when no predicate is registered.
-	mu   sync.RWMutex
+	// subs indexes the registered predicates by id, guarded by mu: workers
+	// register and cancel predicates while the loop sweeps them. Each one
+	// is also an entry of the data center's standing table, which the
+	// per-MBR match walks; mu is held across both updates.
+	mu   sync.Mutex
 	subs map[query.ID]*standingSub
-	n    atomic.Int32
 
 	// mine are the predicates this node originated, keyed for periodic
 	// refresh. Loop-confined.
@@ -61,34 +59,42 @@ func newSubOp(dc *DataCenter) *subOp {
 
 // StandingSubCount reports the number of standing predicate
 // subscriptions registered at this node. Safe from any goroutine.
-func (dc *DataCenter) StandingSubCount() int { return int(dc.opSub.n.Load()) }
+func (dc *DataCenter) StandingSubCount() int {
+	o := dc.opSub
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.subs)
+}
 
 // onSub registers (or cancels) a predicate and keeps the range multicast
 // going.
 //
-// Ordering fence (same as handleQuery): the predicate is registered
-// *before* the store walk, and publishers insert into the store *before*
-// the per-MBR hooks. Any MBR concurrent with the registration is seen at
-// least once — by the walk if its Put completed first, by the publisher's
-// onMBR otherwise — and counted at most once through the (stream, seq)
-// dedup.
+// Ordering fence (same as handleQuery): the predicate is published in the
+// standing table *before* the store walk, and publishers insert into the
+// store *before* walking the table. Any MBR concurrent with the
+// registration is seen at least once — by the store walk if its Put
+// completed first, by the publisher's table walk otherwise — and counted
+// at most once through the (stream, seq) dedup. A predicate whose corners
+// do not have the node's dimensionality could match no stored MBR and is
+// not registered.
 func (o *subOp) onSub(msg *dht.Message) {
 	p := msg.Payload.(SubMsg)
 	if p.P != nil {
+		now, dims := o.dc.mw.clk.Now(), o.dc.mw.cfg.FeatureDims
 		if p.Cancel {
 			o.remove(p.P.ID)
-		} else if now := o.dc.mw.clk.Now(); now < p.P.Expiry() {
+		} else if now < p.P.Expiry() && len(p.P.Lo) == dims && len(p.P.Hi) == dims {
 			o.mu.Lock()
 			sub := o.subs[p.P.ID]
 			fresh := sub == nil
 			if fresh {
 				sub = newStandingSub(p.P)
 				o.subs[p.P.ID] = sub
-				o.n.Store(int32(len(o.subs)))
+				o.dc.standing.addPred(sub)
 			}
 			o.mu.Unlock()
 			if fresh {
-				sub.addAll(o.dc.store.AppendOverlapping(nil, p.P.Lo, p.P.Hi, now, o.dc.id))
+				sub.addAll(o.dc.mw.sids, o.dc.store.AppendOverlapping(nil, p.P.Lo, p.P.Hi, now, o.dc.id))
 			}
 		}
 	}
@@ -97,53 +103,50 @@ func (o *subOp) onSub(msg *dht.Message) {
 
 func (o *subOp) remove(id query.ID) {
 	o.mu.Lock()
-	delete(o.subs, id)
-	o.n.Store(int32(len(o.subs)))
-	o.mu.Unlock()
-}
-
-// onMBR tests a newly stored summary against every registered predicate.
-// Runs on workers; the atomic short-circuit keeps the hook free for the
-// (default) deployment with no subscriptions.
-func (o *subOp) onMBR(b *summary.MBR) {
-	if o.n.Load() == 0 {
+	defer o.mu.Unlock()
+	sub := o.subs[id]
+	if sub == nil {
 		return
 	}
-	now := o.dc.mw.clk.Now()
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	for _, sub := range o.subs {
-		if now >= sub.p.Expiry() {
-			continue
-		}
-		if rectOverlaps(b, sub.p.Lo, sub.p.Hi) {
-			sub.add(query.Match{StreamID: b.StreamID, Seq: b.Seq, FoundAt: now, Node: o.dc.id})
-		}
-	}
+	delete(o.subs, id)
+	o.dc.standing.removeIf(func(e *standingEntry) bool { return e.pred == sub }, false)
 }
 
 // tick is the periodic slice: push pending detections to their
-// subscribers, sweep expired registrations, and refresh this node's own
-// standing predicates.
+// subscribers in registration order, sweep expired registrations, and
+// refresh this node's own standing predicates.
 func (o *subOp) tick(now sim.Time) {
 	type push struct {
 		origin dht.Key
 		p      SubMatchMsg
 	}
 	var pushes []push
-	o.mu.Lock()
-	for id, sub := range o.subs {
+	expired := false
+	for _, e := range o.dc.standing.load().ents {
+		sub := e.pred
+		if sub == nil {
+			continue
+		}
 		// An expired registration still pushes what it detected in its
 		// last period; the subscriber's table accepts it for one more.
 		if pending := sub.takePending(); len(pending) > 0 {
-			pushes = append(pushes, push{sub.p.Origin, SubMatchMsg{SubID: id, Matches: pending}})
+			pushes = append(pushes, push{sub.p.Origin, SubMatchMsg{SubID: sub.p.ID, Matches: pending}})
 		}
-		if now >= sub.p.Expiry() {
-			delete(o.subs, id)
+		if now >= e.expiry {
+			expired = true
 		}
 	}
-	o.n.Store(int32(len(o.subs)))
-	o.mu.Unlock()
+	if expired {
+		o.mu.Lock()
+		for id, sub := range o.subs {
+			if now >= sub.p.Expiry() {
+				delete(o.subs, id)
+				sub.retire()
+			}
+		}
+		o.dc.standing.removeIf(func(e *standingEntry) bool { return e.pred != nil && now >= e.expiry }, true)
+		o.mu.Unlock()
+	}
 	for _, ps := range pushes {
 		if ps.origin == o.dc.id {
 			o.dc.mw.deliverSubMatch(ps.p)

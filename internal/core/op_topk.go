@@ -85,6 +85,7 @@ func (o *topkOp) onMBR(b *summary.MBR) {
 		return
 	}
 	now := o.dc.mw.clk.Now()
+	key := o.dc.mw.sids.key(b.StreamID, b.Seq)
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	for _, mon := range o.mons {
@@ -92,7 +93,7 @@ func (o *topkOp) onMBR(b *summary.MBR) {
 			continue
 		}
 		mon.mu.Lock()
-		if mon.seen.add(b.StreamID, b.Seq) {
+		if mon.seen.add(key) {
 			mon.counts[b.StreamID]++
 		}
 		mon.mu.Unlock()

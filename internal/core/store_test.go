@@ -240,14 +240,16 @@ func TestStoreCandidates(t *testing.T) {
 func TestSimSubDedup(t *testing.T) {
 	q := &query.Similarity{ID: 1, Lifespan: sim.Second}
 	sub := newSimSub(q, 0)
+	sids := newStreamIndex()
+	add := func(m query.Match) bool { return sub.add(sids.key(m.StreamID, m.Seq), m) }
 	m := query.Match{StreamID: "s", Seq: 7}
-	if !sub.add(m) {
+	if !add(m) {
 		t.Fatal("first add rejected")
 	}
-	if sub.add(m) {
+	if add(m) {
 		t.Fatal("duplicate accepted")
 	}
-	if !sub.add(query.Match{StreamID: "s", Seq: 8}) {
+	if !add(query.Match{StreamID: "s", Seq: 8}) {
 		t.Fatal("new seq rejected")
 	}
 	got := sub.takePending()
@@ -261,9 +263,10 @@ func TestSimSubDedup(t *testing.T) {
 
 func TestAggregatorDedupAcrossNodes(t *testing.T) {
 	a := newAggregator(1, 9, 100*sim.Second)
-	a.absorb([]query.Match{{StreamID: "s", Seq: 1, Node: 10}})
-	a.absorb([]query.Match{{StreamID: "s", Seq: 1, Node: 11}}) // replica reported by another node
-	a.absorb([]query.Match{{StreamID: "s", Seq: 2, Node: 11}})
+	sids := newStreamIndex()
+	a.absorb(sids, []query.Match{{StreamID: "s", Seq: 1, Node: 10}})
+	a.absorb(sids, []query.Match{{StreamID: "s", Seq: 1, Node: 11}}) // replica reported by another node
+	a.absorb(sids, []query.Match{{StreamID: "s", Seq: 2, Node: 11}})
 	got := a.takePending()
 	if len(got) != 2 {
 		t.Fatalf("aggregated = %d, want 2 (replica dedup)", len(got))

@@ -34,9 +34,12 @@
 #                        the data plane (TestDispatchEveryKind)
 #  11. zero-alloc guards — the lock-free store walks (one shard and
 #                        eight, un-swept and in steady state), a sweep with
-#                        nothing to seal or drop and the arena decode must
-#                        stay allocation-free on their steady state, and a
-#                        steady-state Put must amortize under 0.1 allocs;
+#                        nothing to seal or drop, the standing-table walk
+#                        of an MBR past 1000 non-matching entries, a dedup
+#                        add of a present (stream, seq) and the arena
+#                        decode must stay allocation-free on their steady
+#                        state, and a steady-state Put must amortize under
+#                        0.1 allocs;
 #                        the wire marshal and sizing paths stay
 #                        allocation-free and the heap decode (the arena
 #                        decode with a nil arena) keeps its alloc bounds
@@ -132,12 +135,12 @@ echo "== continuous-query operator parity (race) =="
 go test -race -count=1 -run 'TestOperatorParitySimVsLive' ./internal/transport
 go test -race -count=1 -run 'TestSubscriptionSurvivesCoveringNodeCrash|TestDispatchEveryKind' ./internal/core
 
-echo "== zero-alloc guards (store walks, idle sweep, amortized put, arena and heap decode) =="
+echo "== zero-alloc guards (store walks, idle sweep, standing walk, dedup hit, amortized put, arena and heap decode) =="
 # The lock-free read path is only lock-free if it also stays off the
 # allocator: a single alloc in the walk re-introduces GC coordination.
 # The write path must not creep back to a snapshot per put either.
 go test -count=1 \
-    -run 'TestShardedStoreZeroAllocWalk|TestAppendCandidatesZeroAllocs|TestGenStoreIdleSweepAndWalkZeroAllocs|TestGenStorePutAmortizedAllocs|TestArenaDecodeZeroAllocAmortized' \
+    -run 'TestShardedStoreZeroAllocWalk|TestAppendCandidatesZeroAllocs|TestGenStoreIdleSweepAndWalkZeroAllocs|TestGenStorePutAmortizedAllocs|TestArenaDecodeZeroAllocAmortized|TestStandingWalkZeroAllocs|TestSeqSetAddPresentZeroAllocs' \
     ./internal/core
 go test -count=1 -run 'TestAppendMarshalZeroAllocs|TestSizeofZeroAllocsPacked|TestUnmarshalAllocBounds' ./internal/wire
 
