@@ -155,7 +155,7 @@ func (s *apiSession) handle(reply func(format string, args ...any), fields []str
 		// Control-plane health: how hard maintenance is working and
 		// what it has had to repair (stabilize rounds/misses, successor
 		// rotations, predecessor drops, finger repairs, stale or
-		// TTL-dropped lookups).
+		// TTL-dropped lookups, join-time sends).
 		rs := s.node.RingStats()
 		reply("MACHINE %s", rs.Machine)
 		reply("STABILIZE-ROUNDS %d", rs.StabilizeRounds)
@@ -165,6 +165,7 @@ func (s *apiSession) handle(reply func(format string, args ...any), fields []str
 		reply("FINGER-REPAIRS %d", rs.FingerRepairs)
 		reply("STALE-FIND-RESPS %d", rs.StaleFindResps)
 		reply("FIND-DROPS %d", rs.FindDrops)
+		reply("JOIN-STEPS %d", rs.JoinSteps)
 		reply("END")
 	case "STATS":
 		if s.node == nil {

@@ -76,7 +76,8 @@ func okID(t *testing.T, replies []string) string {
 // TestRingStatsNamesMachine runs RINGSTATS against live transport nodes
 // of both registered machine families and requires the first line to
 // identify the routing machine, so operators can tell at a glance which
-// control plane a node is running.
+// control plane a node is running, and the reply to count the join-time
+// sends (JOIN-STEPS: zero on a node that only created its ring).
 func TestRingStatsNamesMachine(t *testing.T) {
 	for _, machine := range []string{"chord", "koorde"} {
 		t.Run(machine, func(t *testing.T) {
@@ -99,6 +100,13 @@ func TestRingStatsNamesMachine(t *testing.T) {
 			}
 			if replies[len(replies)-1] != "END" {
 				t.Fatalf("RINGSTATS reply not END-terminated: %q", replies)
+			}
+			found := false
+			for _, r := range replies {
+				found = found || r == "JOIN-STEPS 0"
+			}
+			if !found {
+				t.Fatalf("RINGSTATS reply lacks %q: %q", "JOIN-STEPS 0", replies)
 			}
 		})
 	}

@@ -190,17 +190,19 @@ func (net *Network) addNode(id dht.Key, app dht.App) *Node {
 
 // transmitControl delivers one control-plane message after the per-hop
 // delay, charging the observer exactly like a data-plane transmission
-// (wire.Sizeof bytes — what the message would cost on a socket). Messages
+// (wire.Sizeof bytes — what the message would cost on a socket) and, as
+// the live transport does, showing it the payload. Messages
 // toward dead nodes are silently lost; the sender's miss accounting is
 // what notices, just as on a real network. Control losses do not count
 // into Dropped, which tracks the data plane the evaluation measures.
 func (net *Network) transmitControl(from *Node, to overlay.Ref, payload any) {
 	msg := &dht.Message{
-		Kind:   overlay.KindRing,
-		Key:    to.ID,
-		Src:    from.id,
-		Bytes:  wire.Sizeof(payload),
-		SentAt: net.clk.Now(),
+		Kind:    overlay.KindRing,
+		Key:     to.ID,
+		Src:     from.id,
+		Payload: payload,
+		Bytes:   wire.Sizeof(payload),
+		SentAt:  net.clk.Now(),
 	}
 	net.clk.Schedule(net.cfg.HopDelay, func() {
 		tgt := net.nodes[to.ID]

@@ -13,14 +13,18 @@ import (
 // bus is a minimal deterministic substrate for churn testing: machines wired
 // together over a fixed-delay message channel driven entirely by the virtual
 // clock. Crashed nodes silently eat deliveries, exactly like a dead socket.
+// An optional jitter adds a random delay per message while keeping each
+// directed link first-in first-out, like one TCP connection per node pair.
 type bus struct {
-	eng   *sim.Engine
-	clk   clock.Clock
-	delay sim.Time
-	fac   overlay.Factory
-	cfg   overlay.Config
-	nodes map[dht.Key]overlay.Machine
-	down  map[dht.Key]bool
+	eng    *sim.Engine
+	clk    clock.Clock
+	delay  sim.Time
+	fac    overlay.Factory
+	cfg    overlay.Config
+	nodes  map[dht.Key]overlay.Machine
+	down   map[dht.Key]bool
+	jitter func() sim.Time
+	last   map[[2]dht.Key]sim.Time // per-link latest delivery, with jitter
 }
 
 func newBus(eng *sim.Engine, fac overlay.Factory, cfg overlay.Config, delay sim.Time) *bus {
@@ -32,13 +36,23 @@ func newBus(eng *sim.Engine, fac overlay.Factory, cfg overlay.Config, delay sim.
 		cfg:   cfg,
 		nodes: make(map[dht.Key]overlay.Machine),
 		down:  make(map[dht.Key]bool),
+		last:  make(map[[2]dht.Key]sim.Time),
 	}
 }
 
 func (b *bus) add(id dht.Key) overlay.Machine {
 	m := b.fac.New(b.cfg, Ref{ID: id}, b.clk, func(to Ref, msg any) {
 		tid := to.ID
-		b.clk.Schedule(b.delay, func() {
+		d := b.delay
+		if b.jitter != nil {
+			link := [2]dht.Key{id, tid}
+			d += b.jitter()
+			if now := b.eng.Now(); now+d < b.last[link] {
+				d = b.last[link] - now
+			}
+			b.last[link] = b.eng.Now() + d
+		}
+		b.clk.Schedule(d, func() {
 			if tgt := b.nodes[tid]; tgt != nil && !b.down[tid] {
 				tgt.Handle(msg)
 			}

@@ -4,8 +4,9 @@
 // predecessor liveness, the pending-lookup table and the published view.
 // The machine supplies its long links (populated fingers), its lookup
 // request FindReq (tag 16) with the TTL-bounded greedy forward, finger
-// repair (one entry per fix-fingers firing), and the finger[0] = succ
-// refresh on a stabilize answer.
+// repair (every entry once when a join completes, then one entry per
+// fix-fingers firing), and the finger[0] = succ refresh on a stabilize
+// answer.
 //
 // The machine is pure and message-driven, shared verbatim by the
 // discrete-event simulator (internal/chord) and the TCP transport
@@ -85,6 +86,7 @@ func New(cfg overlay.Config, self Ref, clk clock.Clock, send func(to Ref, msg an
 		Longlinks:        func() []Ref { return m.long },
 		InstallLonglinks: m.installFingers,
 		Repair:           m.fixNextFinger,
+		JoinLinks:        m.fixAllFingers,
 		Adopted:          m.adopted,
 	})
 	m.space, m.self, m.findTTL = m.Config().Space, m.Self(), m.Config().FindTTL
@@ -161,6 +163,20 @@ func (m *Machine) fixNextFinger() {
 	}
 	i := m.nextFinger
 	m.nextFinger = (m.nextFinger + 1) % len(m.finger)
+	m.fixFinger(i)
+}
+
+// fixAllFingers looks every finger slot up once, so a joiner routes over
+// long links before its first repair cycle. Slots its successor covers
+// resolve locally, without a message.
+func (m *Machine) fixAllFingers() {
+	for i := range m.finger {
+		m.fixFinger(i)
+	}
+}
+
+// fixFinger looks up slot i, self + 2^i.
+func (m *Machine) fixFinger(i int) {
 	if m.fingerTok[i] != 0 {
 		m.CancelFind(m.fingerTok[i])
 		m.fingerTok[i] = 0

@@ -25,9 +25,9 @@ const maxLookupSteps = 4096
 
 // Join adds a new node to the overlay through a live bootstrap node and
 // returns it. The join lookup travels the ring as messages (paying the
-// hop delay); the node adopts its successor when the answer arrives and
-// acquires its predecessor, successor list and fingers through subsequent
-// stabilization rounds.
+// hop delay); the node adopts its successor when the answer arrives,
+// probes it at once and looks up its long links, so its predecessor,
+// successor list and long links follow within a few hop delays.
 func (net *Network) Join(id dht.Key, app dht.App, bootstrap dht.Key) (*Node, error) {
 	if net.fac.Static {
 		return nil, fmt.Errorf("chord: static machine %q has no join protocol", net.cfg.Machine)

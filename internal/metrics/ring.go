@@ -33,4 +33,9 @@ type Ring struct {
 	// FindDrops counts FindReq messages rejected for an exhausted TTL or
 	// for lack of a usable next hop.
 	FindDrops uint64
+	// JoinSteps counts the ring messages a join sends at once instead of
+	// at the next stabilize round: the joiner's probe of its successor,
+	// the hint to a displaced predecessor and a lone node's probe of its
+	// first notifier. A converged ring leaves it still.
+	JoinSteps uint64
 }

@@ -19,6 +19,13 @@ import (
 // everything else — the machine's lookup request and its long-link
 // traffic — goes to the machine through RingHooks.
 //
+// Joins converge by message exchange, not by stabilize periods: the
+// joiner probes its new successor and initialises its long links at once,
+// whichever of a notifier and the current predecessor the notify rule
+// leaves behind hears of the other at once, and a lone node adopts its
+// first notifier as successor. The periodic rounds stay the failure
+// detector and the backstop.
+//
 // Failure detection is deadline-free and message-driven on every
 // substrate. The optional alive filter (SetAliveFilter) is consulted only
 // when picking routing candidates, never by maintenance, so filtered and
@@ -73,7 +80,7 @@ type Ring struct {
 // RingHooks is what a machine supplies to its backbone: its long links,
 // its lookup request, and the steps of maintenance that differ per
 // machine. Required hooks are FindReq, Handle, Longlinks,
-// InstallLonglinks and Repair; Adopted and Probe may be nil.
+// InstallLonglinks and Repair; JoinLinks, Adopted and Probe may be nil.
 type RingHooks struct {
 	// FindReq builds the machine's lookup request for target, issued by
 	// this node under token tok with the full TTL.
@@ -89,6 +96,9 @@ type RingHooks struct {
 	// Repair runs one long-link repair step; the backbone calls it from
 	// the repair ticker and from Tick.
 	Repair func()
+	// JoinLinks initialises the long links once, when a join completes;
+	// nil runs one Repair step instead.
+	JoinLinks func()
 	// Adopted runs after a stabilize answer rebuilt the successor list
 	// around succ, before the notify is sent.
 	Adopted func(succ Ref)
@@ -259,7 +269,10 @@ func (r *Ring) retryJoin() {
 	r.sendJoinFind()
 }
 
-// completeJoin adopts the successor the ring answered with.
+// completeJoin adopts the successor the ring answered with, probes it at
+// once — its answer brings the successor list and its notify the
+// predecessor link, without waiting for a stabilize tick — and
+// initialises the long links.
 func (r *Ring) completeJoin(succ Ref) {
 	j := r.join
 	if j == nil {
@@ -276,6 +289,15 @@ func (r *Ring) completeJoin(succ Ref) {
 	r.pred = nil
 	r.publishView()
 	r.StartMaintenance()
+	if succ.ID != r.self.ID {
+		r.sendJoinStep(succ, StabReq{From: r.self})
+	}
+	if r.hooks.JoinLinks != nil {
+		r.hooks.JoinLinks()
+	} else {
+		r.hooks.Repair()
+	}
+	r.publishView()
 	if j.onJoined != nil {
 		j.onJoined(succ)
 	}
@@ -391,7 +413,11 @@ func (r *Ring) Handle(msg any) {
 	case StabResp:
 		r.handleStabResp(c)
 	case Notify:
-		r.considerPredecessor(c.From)
+		// A notifier the rule turns down takes us for its successor,
+		// though our predecessor sits between it and us.
+		if !r.considerPredecessor(c.From) && c.From.ID != r.self.ID && r.pred.ID != c.From.ID {
+			r.sendPredHint(c.From)
+		}
 	case PingReq:
 		r.send(c.From, PingResp{From: r.self})
 	case PingResp:
@@ -495,17 +521,46 @@ func (r *Ring) handleStabResp(c StabResp) {
 	r.send(succ, Notify{From: r.self})
 }
 
-// considerPredecessor applies Chord's notify rule.
-func (r *Ring) considerPredecessor(p Ref) {
+// considerPredecessor applies Chord's notify rule and reports whether it
+// adopted p. Adopting p also acts on the neighbours the change concerns:
+// a displaced predecessor hears of p at once (sendPredHint), and a lone
+// node (successor itself) takes p as its successor and probes it.
+func (r *Ring) considerPredecessor(p Ref) bool {
 	if p.ID == r.self.ID {
-		return
+		return false
 	}
-	if r.pred == nil || r.pred.ID == r.self.ID || r.cfg.Space.Between(p.ID, r.pred.ID, r.self.ID) {
-		q := p
-		r.pred = &q
-		r.predSeen = true
-		r.predMisses = 0
+	old := r.pred
+	if old != nil && old.ID != r.self.ID && !r.cfg.Space.Between(p.ID, old.ID, r.self.ID) {
+		return false
 	}
+	q := p
+	r.pred = &q
+	r.predSeen = true
+	r.predMisses = 0
+	if old != nil && old.ID != r.self.ID {
+		r.sendPredHint(*old)
+	}
+	if succ, ok := r.Successor(); ok && succ.ID == r.self.ID {
+		r.succList = []Ref{p}
+		r.sendJoinStep(p, StabReq{From: r.self})
+	}
+	return true
+}
+
+// sendPredHint tells a node that takes us for its successor, though our
+// predecessor now sits between us, what its next stabilize round would:
+// an unsolicited StabResp naming that predecessor, so its ordinary
+// handleStabResp adopts it as successor and notifies it. The successor
+// list is ourselves followed by ours, the list the node holds once our
+// predecessor sits between us.
+func (r *Ring) sendPredHint(to Ref) {
+	r.sendJoinStep(to, StabResp{From: r.self, HasPred: true, Pred: *r.pred, SuccList: append([]Ref{r.self}, r.succList...)})
+}
+
+// sendJoinStep sends one message of the event-driven join and counts it.
+func (r *Ring) sendJoinStep(to Ref, msg any) {
+	r.stats.JoinSteps++
+	r.send(to, msg)
 }
 
 // --- Periodic maintenance ---
@@ -563,7 +618,8 @@ func (r *Ring) stabilizeTick() {
 	if succ.ID == r.self.ID {
 		// Ring bootstrap: while the successor is still ourselves, the
 		// first node that notified us becomes our successor — this is how
-		// a one-node ring grows, per the Chord paper.
+		// a one-node ring grows, per the Chord paper. considerPredecessor
+		// applies the rule as the notify arrives; this is the backstop.
 		if r.pred != nil && r.pred.ID != r.self.ID {
 			r.succList = []Ref{*r.pred}
 			succ = r.succList[0]

@@ -2,6 +2,9 @@ package transport
 
 import (
 	"fmt"
+	"io"
+	"net"
+	"regexp"
 	"testing"
 
 	"streamdex/internal/chord"
@@ -15,10 +18,14 @@ import (
 
 // parityRow is one machine's share of the parity trace: its own lookup
 // request, built from random walk state where the machine has any, and
-// (for Koorde) its chain-repair messages.
+// (for Koorde) its chain-repair messages, including the neighbourhood
+// answer that completes a joiner's chain.
 type parityRow struct {
 	lookup func(next func(uint64) uint64, from, replyTo overlay.Ref, tok uint64, target dht.Key, ttl int) any
 	own    func(next func(uint64) uint64, pick func() overlay.Ref, image dht.Key) any
+	// linkAnswer is the reply that completes the long links a join's
+	// lookups started (nil when the lookup answers alone complete them).
+	linkAnswer func(from, pred overlay.Ref, succs []overlay.Ref) any
 }
 
 var parityRows = map[string]parityRow{
@@ -65,6 +72,9 @@ var parityRows = map[string]parityRow{
 				return cr
 			}
 		},
+		linkAnswer: func(from, pred overlay.Ref, succs []overlay.Ref) any {
+			return koorde.KDListResp{From: from, HasPred: true, Pred: pred, SuccList: succs}
+		},
 	},
 }
 
@@ -79,16 +89,24 @@ var parityRows = map[string]parityRow{
 // bit-for-bit identical decisions — predecessor, successor list, long
 // links, next-hop choice and key coverage — after every single message.
 //
-// Neither machine runs maintenance here (no tickers are started); the
-// trace is the only input, so any divergence is a real decision difference
-// between the substrates, not scheduling noise. Runs under -race in CI.
+// A second, scripted trace grows the ring around the node: a join into a
+// one-node ring, a join of the node itself, joins that displace its
+// predecessor and a late notify from the displaced one. There both hosts
+// must also make the same sends, message for message.
+//
+// Neither machine runs maintenance here (no tickers fire); the trace is
+// the only input, so any divergence is a real decision difference between
+// the substrates, not scheduling noise. Runs under -race in CI.
 func TestControlPlaneParitySimVsLive(t *testing.T) {
 	for _, name := range overlay.Names() {
 		row, ok := parityRows[name]
 		if !ok {
 			t.Fatalf("no parity row for registered machine %q", name)
 		}
-		t.Run(name, func(t *testing.T) { checkParity(t, name, row) })
+		t.Run(name, func(t *testing.T) {
+			t.Run("trace", func(t *testing.T) { checkParity(t, name, row) })
+			t.Run("joins", func(t *testing.T) { checkJoinParity(t, name, row) })
+		})
 	}
 }
 
@@ -175,39 +193,15 @@ func checkParity(t *testing.T, name string, row parityRow) {
 		}
 	}
 
-	probes := []dht.Key{0, 101, 8999, 9000, 21000, 21001, 39999, 52000, 61001, 65535}
-	type snap struct{ pred, succ, long, hops, covers string }
-	take := func(m overlay.Machine) snap {
-		var s snap
-		if p, ok := m.Predecessor(); ok {
-			s.pred = fmt.Sprint(p.ID)
-		}
-		for _, r := range m.SuccessorList() {
-			s.succ += fmt.Sprint(r.ID, ",")
-		}
-		for _, r := range m.View().(*overlay.RingView).Long {
-			s.long += fmt.Sprint(r.ID, ",")
-		}
-		for _, k := range probes {
-			if h, ok := m.NextHop(k); ok {
-				s.hops += fmt.Sprint(h.ID, ",")
-			} else {
-				s.hops += "-,"
-			}
-			s.covers += fmt.Sprint(m.Covers(k), ",")
-		}
-		return s
-	}
-
 	for i, msg := range trace {
 		simM.Handle(msg)
-		var liveSnap snap
+		var liveSnap paritySnap
 		m := msg
 		node.Do(func() {
 			node.ring.Handle(m)
-			liveSnap = take(node.ring)
+			liveSnap = takeSnap(node.ring)
 		})
-		if simSnap := take(simM); simSnap != liveSnap {
+		if simSnap := takeSnap(simM); simSnap != liveSnap {
 			t.Fatalf("divergence after message %d (%T):\n sim  %+v\n live %+v", i, msg, simSnap, liveSnap)
 		}
 	}
@@ -226,5 +220,240 @@ func checkParity(t *testing.T, name string, row parityRow) {
 	}
 	if row.own != nil && liveStats.FingerRepairs == 0 {
 		t.Fatalf("trace failed to exercise long-link repairs: %+v", liveStats)
+	}
+}
+
+// paritySnap is the decision state compared between the hosts:
+// predecessor, successor list, long links, and the next hop and coverage
+// of a fixed set of probe keys.
+type paritySnap struct{ pred, succ, long, hops, covers string }
+
+var parityProbes = []dht.Key{0, 101, 8999, 9000, 21000, 21001, 39999, 52000, 61001, 65535}
+
+func takeSnap(m overlay.Machine) paritySnap {
+	var s paritySnap
+	if p, ok := m.Predecessor(); ok {
+		s.pred = fmt.Sprint(p.ID)
+	}
+	for _, r := range m.SuccessorList() {
+		s.succ += fmt.Sprint(r.ID, ",")
+	}
+	for _, r := range m.View().(*overlay.RingView).Long {
+		s.long += fmt.Sprint(r.ID, ",")
+	}
+	for _, k := range parityProbes {
+		if h, ok := m.NextHop(k); ok {
+			s.hops += fmt.Sprint(h.ID, ",")
+		} else {
+			s.hops += "-,"
+		}
+		s.covers += fmt.Sprint(m.Covers(k), ",")
+	}
+	return s
+}
+
+// sendLog records the control messages one node sends, Addr fields
+// stripped: the simulator's refs carry none, the live node's own ref does.
+type sendLog struct {
+	from dht.Key
+	out  []string
+}
+
+var addrField = regexp.MustCompile(` ?Addr:[^ }]*`)
+
+func (l *sendLog) OnTransmit(from, to dht.Key, msg *dht.Message) {
+	if from == l.from && msg.Kind == overlay.KindRing {
+		l.out = append(l.out, addrField.ReplaceAllString(fmt.Sprintf("%d %T%+v", to, msg.Payload, msg.Payload), ""))
+	}
+}
+
+func (l *sendLog) OnDeliver(dht.Key, *dht.Message) {}
+
+func (l *sendLog) take() []string {
+	out := l.out
+	l.out = nil
+	return out
+}
+
+// checkJoinParity grows the ring around node 21000 on both hosts through
+// two scripted traces — one from a one-node ring, one from the node's own
+// join — and requires identical sends and state after every message and
+// the expected number of join-time sends. The
+// other ring members are simulator nodes with stopped machines, so the
+// simulated network delivers (and shows) every send without answering it;
+// the live node sends to a listener that discards everything.
+func checkJoinParity(t *testing.T, name string, row parityRow) {
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	go func() {
+		for {
+			c, err := sink.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _, _ = io.Copy(io.Discard, c); c.Close() }()
+		}
+	}()
+	ref := func(id dht.Key) overlay.Ref { return overlay.Ref{ID: id, Addr: sink.Addr().String()} }
+
+	const self = dht.Key(21000)
+	members := []dht.Key{100, 9000, 15000, 40000, 61000}
+	space := dht.NewSpace(16)
+	hop := sim.Millisecond
+
+	for _, sc := range []struct {
+		name string
+		// lone starts the node as a one-node ring; otherwise it joins
+		// through members[0].
+		lone  bool
+		trace []any
+		// steps is how many join-time messages the trace makes the node
+		// send (metrics.Ring.JoinSteps).
+		steps uint64
+	}{
+		{
+			name: "into-lone-node",
+			lone: true,
+			trace: []any{
+				// 40000 joins through us: its lookup, then its probe. We
+				// adopt it as predecessor and, being alone, as successor.
+				row.lookup(func(uint64) uint64 { return 0 }, ref(40000), ref(40000), 7, 40000, 8),
+				overlay.StabReq{From: ref(40000)},
+				overlay.StabResp{From: ref(40000), SuccList: []overlay.Ref{ref(self)}},
+				overlay.Notify{From: ref(40000)},
+				// 15000 joins between 40000 and us: it displaces our live
+				// predecessor, which is told at once.
+				overlay.StabReq{From: ref(15000)},
+				overlay.Notify{From: ref(15000)},
+				overlay.StabResp{From: ref(40000), HasPred: true, Pred: ref(self), SuccList: []overlay.Ref{ref(self)}},
+				// A notify 40000 sent before it heard: told again.
+				overlay.Notify{From: ref(40000)},
+			},
+			steps: 3,
+		},
+		{
+			name: "self-joins",
+			trace: func() []any {
+				tr := []any{
+					// The join answer: probe the successor at once and
+					// start the long links.
+					overlay.FindResp{From: ref(9000), Token: 1, Succ: ref(40000)},
+					overlay.StabResp{From: ref(40000), HasPred: true, Pred: ref(9000), SuccList: []overlay.Ref{ref(61000), ref(100), ref(9000)}},
+					overlay.Notify{From: ref(9000)},
+				}
+				// Answers to the long-link lookups (tokens past the
+				// join's; the ones already resolved locally are stale).
+				for tok := uint64(2); tok < 2+uint64(space.M); tok++ {
+					tr = append(tr, overlay.FindResp{From: ref(40000), Token: tok, Succ: ref(members[tok%uint64(len(members))])})
+				}
+				if row.linkAnswer != nil {
+					tr = append(tr, row.linkAnswer(ref(9000), ref(100), []overlay.Ref{ref(self), ref(40000), ref(61000)}))
+				}
+				return append(tr,
+					// 15000 joins between our predecessor and us.
+					overlay.StabReq{From: ref(15000)},
+					overlay.Notify{From: ref(15000)},
+					overlay.StabResp{From: ref(40000), HasPred: true, Pred: ref(self), SuccList: []overlay.Ref{ref(61000), ref(100), ref(9000)}},
+					// 9000's notify overtaken by the join: it hears of
+					// 15000 again.
+					overlay.Notify{From: ref(9000)},
+				)
+			}(),
+			steps: 3,
+		},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			// Simulated host: every member's machine stopped.
+			eng := sim.NewEngine()
+			simNet := chord.New(eng, chord.Config{Space: space, HopDelay: hop, SuccListLen: 4, Machine: name})
+			simLog := &sendLog{from: self}
+			simNet.SetObserver(simLog)
+			ring := members
+			if sc.lone {
+				ring = append(append([]dht.Key(nil), members...), self)
+			}
+			simNet.BuildStable(ring, nil)
+			for _, id := range members {
+				simNet.Node(id).Machine().Stop()
+			}
+
+			// Live host: periods of an hour, so no ticker fires.
+			const hour = int64(3600_000_000)
+			node, err := New(Config{
+				ID: self, Listen: "127.0.0.1:0", Space: space,
+				StabilizeEvery: hour, FixFingersEvery: hour, SuccListLen: 4,
+				Machine: name,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			liveLog := &sendLog{from: self}
+			node.SetObserver(liveLog)
+
+			var simM overlay.Machine
+			if sc.lone {
+				simM = simNet.Node(self).Machine()
+				alone := overlay.Ref{ID: self}
+				simM.InstallRing(&alone, []overlay.Ref{alone}, []overlay.Ref{})
+				node.Do(func() {
+					me := node.ring.Self()
+					node.ring.InstallRing(&me, []overlay.Ref{me}, []overlay.Ref{})
+				})
+			} else {
+				n, err := simNet.Join(self, nil, members[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				simM = n.Machine()
+				node.Do(func() { node.ring.Join(ref(members[0]), nil) })
+			}
+			check := func(step string) {
+				t.Helper()
+				eng.RunFor(hop)
+				var live []string
+				var liveSnap paritySnap
+				node.Do(func() {
+					live = liveLog.take()
+					liveSnap = takeSnap(node.ring)
+				})
+				if sim := simLog.take(); fmt.Sprint(sim) != fmt.Sprint(live) {
+					t.Fatalf("sends diverged after %s:\n sim  %q\n live %q", step, sim, live)
+				}
+				if simSnap := takeSnap(simM); simSnap != liveSnap {
+					t.Fatalf("state diverged after %s:\n sim  %+v\n live %+v", step, simSnap, liveSnap)
+				}
+			}
+			check("the start")
+			for i, msg := range sc.trace {
+				simM.Handle(msg)
+				m := msg
+				node.Do(func() { node.ring.Handle(m) })
+				check(fmt.Sprintf("message %d (%T)", i, msg))
+			}
+
+			var liveStats metrics.Ring
+			node.Do(func() { liveStats = node.ring.Stats() })
+			if simStats := simM.Stats(); simStats != liveStats {
+				t.Fatalf("stats diverged:\n sim  %+v\n live %+v", simStats, liveStats)
+			}
+			if liveStats.JoinSteps != sc.steps {
+				t.Fatalf("trace made %d join-time sends, want %d", liveStats.JoinSteps, sc.steps)
+			}
+			// The trace ends converged around us: 15000 precedes us, 40000
+			// follows, and the node holds long links.
+			if p, ok := simM.Predecessor(); !ok || p.ID != 15000 {
+				t.Fatalf("predecessor %v (ok=%v), want 15000", p, ok)
+			}
+			if s, ok := simM.Successor(); !ok || s.ID != 40000 {
+				t.Fatalf("successor %v (ok=%v), want 40000", s, ok)
+			}
+			if !sc.lone && simM.LonglinkCount() == 0 {
+				t.Fatal("joined node holds no long links")
+			}
+		})
 	}
 }

@@ -32,11 +32,13 @@ func (n *Node) Create() {
 }
 
 // Join enters an existing ring through the node at bootstrapAddr: it asks
-// the ring for the successor of its own identifier, adopts it, and lets
-// stabilization acquire the rest (predecessor, successor list, fingers).
-// The machine retries unanswered lookups itself (invalidating superseded
-// tokens); Join blocks until the successor is known or the timeout
-// elapses.
+// the ring for the successor of its own identifier and adopts it. The
+// machine then probes that successor at once, which brings the successor
+// list and the predecessor link within a few round trips, and starts its
+// long links (Chord's fingers, Koorde's chain); periodic stabilization is
+// only the backstop. The machine retries unanswered lookups itself
+// (invalidating superseded tokens); Join blocks until the successor is
+// known or the timeout elapses.
 func (n *Node) Join(bootstrapAddr string, timeout time.Duration) error {
 	found := make(chan Ref, 1)
 	n.clk.Do(func() {

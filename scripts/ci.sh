@@ -10,11 +10,21 @@
 #   5. ring churn + parity (race) — on every registered machine (Chord,
 #                        Koorde): scripted join/leave/crash convergence of
 #                        the shared ring backbone and the machine's long
-#                        links, sim-vs-live parity of the same machine on
-#                        a real TCP node, and a foreign-machine joiner
-#                        timing out instead of being absorbed
+#                        links, back-to-back simulated joins converging
+#                        with no stabilize round, on constant and on
+#                        jittered link delays
+#                        (TestJoinConvergesWithoutStabilizeRounds,
+#                        TestBackToBackJoinsConvergeUnderJitter) and a
+#                        converged ring sending no join-time message
+#                        (TestConvergedRingSendsNoJoinSteps), sim-vs-live
+#                        parity of the same machine on a real TCP node
+#                        (a random trace, and scripted joins with their
+#                        sends), and a foreign-machine joiner timing out
+#                        instead of being absorbed
 #   6. loopback (race) — the 5-node TCP loopback cluster against the
-#                        simulator, and ring convergence
+#                        simulator, ring convergence, and eight loopback
+#                        joins converging within 1 s of the last one
+#                        (TestLiveJoinsConvergeInRoundTrips)
 #   7. fuzz smoke      — short native-fuzz run of the wire codec decoder
 #                        (seeded with every payload kind, middleware and
 #                        ring-control alike), catching panics / runaway
@@ -93,17 +103,23 @@ echo "== ring churn + sim-vs-live parity, every machine (race) =="
 # graceful leave, adjacent crashes, a late join) must re-converge the
 # ring and the long links (fingers, de Bruijn chain) to the
 # live-membership oracle — virtual-time determinism makes any race found
-# here reproducible; the live TCP node must agree with the simulator
-# after every control message of a shared trace; and a joiner of the
-# other machine family must time out without any member adopting it.
-go test -race -count=1 -run 'TestChurnReconverges' ./internal/chord/protocol
+# here reproducible; back-to-back joins with stabilization pushed out to
+# an hour must converge by their own messages, and a converged ring must
+# send no join-time message; the live TCP node must agree with the
+# simulator after every control message of a shared trace, sends
+# included on the scripted joins; and a joiner of the other machine
+# family must time out without any member adopting it.
+go test -race -count=1 -run 'TestChurnReconverges|TestBackToBackJoinsConvergeUnderJitter' ./internal/chord/protocol
+go test -race -count=1 -run 'TestJoinConvergesWithoutStabilizeRounds|TestConvergedRingSendsNoJoinSteps' ./internal/chord
 go test -race -count=1 -run 'TestControlPlaneParitySimVsLive|TestForeignJoinerNotAbsorbed' ./internal/transport
 
 echo "== live transport loopback (race) =="
 # Explicitly exercise the 5-node TCP loopback cluster against the
 # simulator under the race detector, so the live data path stays covered
-# even if the suite above ever starts running in -short mode.
-go test -race -count=1 -run 'TestLoopbackClusterMatchesSimulator|TestRingConvergence' \
+# even if the suite above ever starts running in -short mode; eight
+# loopback joins must converge within 1 s of the last one, with default
+# and hour-long stabilize periods.
+go test -race -count=1 -run 'TestLoopbackClusterMatchesSimulator|TestRingConvergence|TestLiveJoinsConvergeInRoundTrips' \
     ./internal/transport
 
 echo "== fuzz smoke (FuzzUnmarshal, 10s) =="
