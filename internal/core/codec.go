@@ -1,12 +1,13 @@
 package core
 
-// Hand-packed wire codecs (wire codec v2) for the nine middleware payload
-// kinds. Each codec writes the fields of its payload with the wire
-// package's primitives — varints for ids, counts and timestamps, fixed
-// 8-byte words for floats, length-prefixed strings — so a payload costs
-// exactly its content, with no per-message type descriptors. The layouts
-// are documented field-by-field in DESIGN.md ("Wire format v2"); changing
-// one is a wire-protocol break and must bump the codec tag.
+// Hand-packed wire codecs (wire codec v2) for the original nine middleware
+// payload kinds and the response batch. Each codec writes the fields of its
+// payload with the wire package's primitives — varints for ids, counts and
+// timestamps, fixed 8-byte words for floats, length-prefixed strings — so
+// a payload costs exactly its content, with no per-message type
+// descriptors. The layouts are documented field-by-field in DESIGN.md
+// ("Wire format v2"); changing one is a wire-protocol break and must bump
+// the codec tag.
 //
 // Decoders validate every length against the remaining bytes (the wire
 // Reader enforces this) and never alias the input buffer, so the transport
@@ -38,11 +39,17 @@ const (
 	tagIPResp
 )
 
+// tagResponseBatch is the codec tag of ResponseBatch, the first free tag
+// after the load-balancing (30-31) and Koorde (32-40) blocks. Koorde's
+// retired tags 33 and 36-38 stay unused.
+const tagResponseBatch uint8 = 41
+
 func init() {
-	wire.RegisterPackedPayload(tagMBRUpdate, MBRUpdate{}, codecFuncs{enc: encMBRUpdate, decA: decMBRUpdate})
-	wire.RegisterPackedPayload(tagSimQuery, SimQuery{}, codecFuncs{enc: encSimQuery, decA: decSimQuery})
+	wire.RegisterPackedPayload(tagMBRUpdate, MBRUpdate{}, arenaCodec{enc: encMBRUpdate, dec: decMBRUpdate})
+	wire.RegisterPackedPayload(tagSimQuery, SimQuery{}, arenaCodec{enc: encSimQuery, dec: decSimQuery})
 	wire.RegisterPackedPayload(tagNotifyBatch, NotifyBatch{}, codecFuncs{enc: encNotifyBatch, dec: decNotifyBatch})
 	wire.RegisterPackedPayload(tagResponseMsg, ResponseMsg{}, codecFuncs{enc: encResponseMsg, dec: decResponseMsg})
+	wire.RegisterPackedPayload(tagResponseBatch, ResponseBatch{}, codecFuncs{enc: encResponseBatch, dec: decResponseBatch})
 	wire.RegisterPackedPayload(tagLocPut, LocPut{}, codecFuncs{enc: encLocPut, dec: decLocPut})
 	wire.RegisterPackedPayload(tagLocGet, LocGet{}, codecFuncs{enc: encLocGet, dec: decLocGet})
 	wire.RegisterPackedPayload(tagLocReply, LocReply{}, codecFuncs{enc: encLocReply, dec: decLocReply})
@@ -51,23 +58,27 @@ func init() {
 }
 
 // codecFuncs adapts an encode/decode function pair to wire.PayloadCodec.
-// The data-plane kinds whose decode rate justifies it set decA instead of
-// dec: one decoder that carves from a wire.Arena (wire.ArenaDecoder) and
-// allocates on the heap when handed a nil one.
 type codecFuncs struct {
-	enc  func(dst []byte, p any) ([]byte, error)
-	dec  func(data []byte) (any, error)
-	decA func(data []byte, a *wire.Arena) (any, error)
+	enc func(dst []byte, p any) ([]byte, error)
+	dec func(data []byte) (any, error)
 }
 
 func (c codecFuncs) Append(dst []byte, p any) ([]byte, error) { return c.enc(dst, p) }
-func (c codecFuncs) Decode(data []byte) (any, error)          { return c.DecodeArena(data, nil) }
+func (c codecFuncs) Decode(data []byte) (any, error)          { return c.dec(data) }
 
-func (c codecFuncs) DecodeArena(data []byte, a *wire.Arena) (any, error) {
-	if c.decA == nil {
-		return c.dec(data)
-	}
-	return c.decA(data, a)
+// arenaCodec is codecFuncs for the data-plane kinds whose decode rate
+// justifies it: one decoder that carves from a wire.Arena
+// (wire.ArenaDecoder) and allocates on the heap when handed a nil one.
+type arenaCodec struct {
+	enc func(dst []byte, p any) ([]byte, error)
+	dec func(data []byte, a *wire.Arena) (any, error)
+}
+
+func (c arenaCodec) Append(dst []byte, p any) ([]byte, error) { return c.enc(dst, p) }
+func (c arenaCodec) Decode(data []byte) (any, error)          { return c.dec(data, nil) }
+
+func (c arenaCodec) DecodeArena(data []byte, a *wire.Arena) (any, error) {
+	return c.dec(data, a)
 }
 
 // coreSlabs is the core-owned extension slab hung off a decode arena
@@ -353,6 +364,45 @@ func decResponseMsg(data []byte) (any, error) {
 		return nil, err
 	}
 	return u, nil
+}
+
+// --- KindResponse: ResponseBatch ---
+// count(uvar), then per item: queryID(uvar) | matches
+
+func encResponseBatch(dst []byte, p any) ([]byte, error) {
+	u, ok := p.(ResponseBatch)
+	if !ok {
+		return nil, errType("ResponseBatch", p)
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(u.Items)))
+	for i := range u.Items {
+		it := &u.Items[i]
+		dst = wire.AppendUvarint(dst, uint64(it.QueryID))
+		dst = appendMatches(dst, it.Matches)
+	}
+	return dst, nil
+}
+
+func decResponseBatch(data []byte) (any, error) {
+	r := wire.NewReader(data)
+	n := r.Uvarint()
+	var items []ResponseMsg
+	if r.Err() == nil && n > 0 {
+		// An item is at least two bytes (query id, match count).
+		if n > uint64(r.Len()) {
+			r.Failf("core: %d response items with %d bytes remaining", n, r.Len())
+		} else {
+			items = make([]ResponseMsg, n)
+			for i := range items {
+				items[i].QueryID = query.ID(r.Uvarint())
+				items[i].Matches = readMatches(&r)
+			}
+		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return ResponseBatch{Items: items}, nil
 }
 
 // --- KindLocPut / KindLocGet / KindLocReply ---

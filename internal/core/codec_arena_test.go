@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"streamdex/internal/dht"
 	"streamdex/internal/query"
@@ -138,4 +140,50 @@ func TestArenaDecodeZeroAllocAmortized(t *testing.T) {
 	if allocs > 0.25 {
 		t.Fatalf("arena decode allocates %.3f objects per frame, want amortized < 0.25", allocs)
 	}
+}
+
+// TestArenaSlabPinsNoHeapPayload: a frame whose payload decodes onto the
+// heap (here a response batch) must not get a message from the arena's
+// slab, which stays reachable until it is used up and would keep the
+// delivered payload alive with it. Arena-carved payloads still share the
+// slab with their message.
+func TestArenaSlabPinsNoHeapPayload(t *testing.T) {
+	a := wire.NewArena(nil)
+	carves := func() int64 { return a.Stats().Carves.Load() }
+	mbr, err := wire.Marshal(&dht.Message{Kind: KindMBR, Payload: MBRUpdate{MBR: mbrAt("s", 1, summary.Feature{0.1}, summary.Feature{0.2}, 9)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := wire.Marshal(&dht.Message{Kind: KindResponse, Payload: ResponseBatch{Items: []ResponseMsg{
+		{QueryID: 1, Matches: []query.Match{{StreamID: "s", Seq: 1}}}, {QueryID: 2},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.UnmarshalArena(mbr, a); err != nil {
+		t.Fatal(err)
+	}
+	before := carves()
+	msg, err := wire.UnmarshalArena(batch, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if carves() != before {
+		t.Errorf("decoding a heap payload carved %d arena objects", carves()-before)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(&msg.Payload.(ResponseBatch).Items[0], func(*ResponseMsg) { close(collected) })
+	msg = nil
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if _, err := wire.UnmarshalArena(mbr, a); err != nil { // the slab is still in use
+				t.Fatal(err)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a delivered response batch stayed reachable from the decode arena")
 }

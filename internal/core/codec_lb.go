@@ -13,7 +13,7 @@ const (
 )
 
 func init() {
-	wire.RegisterPackedPayload(tagReplicaMsg, ReplicaMsg{}, codecFuncs{enc: encReplicaMsg, decA: decReplicaMsg})
+	wire.RegisterPackedPayload(tagReplicaMsg, ReplicaMsg{}, arenaCodec{enc: encReplicaMsg, dec: decReplicaMsg})
 	wire.RegisterPackedPayload(tagLoadMsg, LoadMsg{}, codecFuncs{enc: encLoadMsg, dec: decLoadMsg})
 }
 

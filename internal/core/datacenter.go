@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,6 +17,7 @@ import (
 	"streamdex/internal/sim"
 	"streamdex/internal/stream"
 	"streamdex/internal/summary"
+	"streamdex/internal/wire"
 )
 
 // DataCenter is the middleware instance running on one overlay node — a
@@ -363,7 +367,14 @@ func (dc *DataCenter) Deliver(self dht.Key, msg *dht.Message) {
 	case KindNotify:
 		dc.onNotify(msg)
 	case KindResponse:
-		dc.mw.deliverSimilarity(dc.id, msg.Payload.(ResponseMsg))
+		switch p := msg.Payload.(type) {
+		case ResponseMsg:
+			dc.mw.deliverSimilarity(dc.id, p)
+		case ResponseBatch:
+			for _, r := range p.Items {
+				dc.mw.deliverSimilarity(dc.id, r)
+			}
+		}
 	case KindLocPut:
 		p := msg.Payload.(LocPut)
 		dc.locTable[p.StreamID] = p.Source
@@ -642,7 +653,7 @@ func (dc *DataCenter) absorbOrRelay(item NotifyItem) {
 		if !agg.delivered && len(agg.pending) > 0 {
 			// The query's first match goes to the client now; from here
 			// on the aggregator answers once per push period.
-			dc.pushResponse(agg)
+			dc.respond(agg.client, []ResponseMsg{dc.takeResponse(agg)})
 		}
 		return
 	}
@@ -880,41 +891,109 @@ func (dc *DataCenter) toSuccessor(middle dht.Key) bool {
 	return sp.Distance(dc.id, middle) <= sp.Distance(middle, dc.id)
 }
 
+// maxResponseFrame bounds one KindResponse frame on the live transport —
+// the 5-byte stream framing plus what wire.Sizeof counts — at the pooled
+// frame buffer cap, so a response batch never takes the unpooled path.
+// A single response larger than that still travels, alone.
+const maxResponseFrame = 64<<10 - 5
+
 // pushResponses sends each aggregator's periodic response to its client,
-// empty or not — one message per active query per period, so the response
-// rate stays linearly proportional to the number of queries (§V). The one
+// empty or not: one response per active query per period, so the response
+// rate stays linearly proportional to the number of queries (§V). A
+// period's responses for one client travel together, one frame per
+// (middle node, client) unless it would pass maxResponseFrame. The one
 // response outside this schedule is a query's first match, which
 // absorbOrRelay pushes the moment it arrives.
 //
 // An expired aggregator answers only when it holds detections — what was
 // pending at expiry, what arrives until the funnel deadline — and is
 // deleted at that deadline.
+//
+// Clients go in key order and each client's responses in query-id order,
+// so map iteration order reaches neither the simulator's event schedule
+// nor the client's callbacks.
 func (dc *DataCenter) pushResponses(now sim.Time) {
+	var due []*aggregator
 	for id, agg := range dc.aggs {
 		if now < agg.expiry || len(agg.pending) > 0 {
-			dc.pushResponse(agg)
+			due = append(due, agg)
 		}
 		if now >= dc.funnelDeadline(agg.expiry) {
 			delete(dc.aggs, id)
 		}
 	}
+	slices.SortFunc(due, func(a, b *aggregator) int {
+		return cmp.Or(cmp.Compare(a.client, b.client), cmp.Compare(a.queryID, b.queryID))
+	})
+	for len(due) > 0 {
+		n := 1
+		for n < len(due) && due[n].client == due[0].client {
+			n++
+		}
+		items := make([]ResponseMsg, n)
+		for i, agg := range due[:n] {
+			items[i] = dc.takeResponse(agg)
+		}
+		dc.respond(due[0].client, items)
+		due = due[n:]
+	}
 }
 
-// pushResponse sends what the aggregator has collected since its last
-// response to the client.
-func (dc *DataCenter) pushResponse(agg *aggregator) {
+// takeResponse drains what the aggregator has collected since its last
+// response into the next one.
+func (dc *DataCenter) takeResponse(agg *aggregator) ResponseMsg {
 	dc.mw.col.CountEvent(metrics.EventResponse)
-	payload := ResponseMsg{QueryID: agg.queryID, Matches: agg.takePending()}
-	if len(payload.Matches) > 0 {
+	r := ResponseMsg{QueryID: agg.queryID, Matches: agg.takePending()}
+	if len(r.Matches) > 0 {
 		agg.delivered = true
 	}
-	if agg.client == dc.id {
-		// Client co-located with the middle node: local delivery.
-		dc.mw.deliverSimilarity(dc.id, payload)
+	return r
+}
+
+// respond delivers responses to their client: locally when the client is
+// this node, otherwise in as few KindResponse frames as maxResponseFrame
+// allows.
+func (dc *DataCenter) respond(client dht.Key, items []ResponseMsg) {
+	if client == dc.id {
+		for _, r := range items {
+			dc.mw.deliverSimilarity(dc.id, r)
+		}
 		return
 	}
-	msg := sized(&dht.Message{Kind: KindResponse, Payload: payload})
-	dc.mw.net.Send(dc.id, agg.client, msg)
+	for len(items) > 0 {
+		n := len(items)
+		msg := responseFrame(items)
+		if msg.Bytes > maxResponseFrame && n > 1 {
+			n = fittingResponses(items)
+			msg = responseFrame(items[:n:n])
+		}
+		dc.mw.net.Send(dc.id, client, msg)
+		items = items[n:]
+	}
+}
+
+// responseFrame is the size-stamped KindResponse message carrying items: a
+// lone response as a ResponseMsg, several as a ResponseBatch.
+func responseFrame(items []ResponseMsg) *dht.Message {
+	var payload any = items[0]
+	if len(items) > 1 {
+		payload = ResponseBatch{Items: items}
+	}
+	return sized(&dht.Message{Kind: KindResponse, Payload: payload})
+}
+
+// fittingResponses returns how many leading items one batch frame carries
+// within maxResponseFrame; at least one.
+func fittingResponses(items []ResponseMsg) int {
+	size := wire.HeaderBytes + 1 + binary.MaxVarintLen64 // envelope, tag, item count
+	for n, r := range items {
+		// A batch item has the lone response's layout.
+		size += wire.Sizeof(r) - wire.HeaderBytes - 1
+		if n > 0 && size > maxResponseFrame {
+			return n
+		}
+	}
+	return len(items)
 }
 
 // pushInnerProducts is the inner-product path's periodic slice: it sweeps

@@ -53,7 +53,8 @@ func oneOfEachKind(dc *DataCenter, middle dht.Key) []*dht.Message {
 }
 
 // TestDispatchEveryKind pins how a data center routes the 18 middleware
-// kinds: every one has a loop handler, an unknown kind is counted, and the
+// kinds: every one has a loop handler, a response batch reaches the client
+// item by item, an unknown kind is counted, and the
 // worker-safe subset is exactly the kinds whose handlers carry their own
 // synchronization.
 func TestDispatchEveryKind(t *testing.T) {
@@ -73,6 +74,16 @@ func TestDispatchEveryKind(t *testing.T) {
 			t.Fatalf("kind %d reached no handler", msg.Kind)
 		}
 	}
+	// A push period's response batch takes the lone response's handler,
+	// one delivery per item.
+	batch := sized(&dht.Message{Kind: KindResponse, Src: middle, Payload: ResponseBatch{
+		Items: []ResponseMsg{{QueryID: 101}, {QueryID: 102}},
+	}})
+	loop.Deliver(loop.id, batch)
+	if mw.unclassified != 0 || mw.ResponseCount(101) != 1 || mw.ResponseCount(102) != 1 {
+		t.Fatalf("batch delivered %d and %d responses (unclassified %d), want 1 each",
+			mw.ResponseCount(101), mw.ResponseCount(102), mw.unclassified)
+	}
 	loop.Deliver(loop.id, &dht.Message{Kind: KindLoad + 1})
 	if mw.unclassified != 1 {
 		t.Fatalf("unknown kind counted %d times, want 1", mw.unclassified)
@@ -88,6 +99,9 @@ func TestDispatchEveryKind(t *testing.T) {
 		if got := worker.DeliverData(worker.id, msg); got != onWorkers[msg.Kind] {
 			t.Errorf("DeliverData(kind %d) = %v, want %v", msg.Kind, got, onWorkers[msg.Kind])
 		}
+	}
+	if worker.DeliverData(worker.id, batch) {
+		t.Error("DeliverData accepted a response batch")
 	}
 	if worker.DeliverData(worker.id, &dht.Message{Kind: KindLoad + 1}) {
 		t.Error("DeliverData accepted an unknown kind")

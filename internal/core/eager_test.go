@@ -179,21 +179,6 @@ func TestLastPeriodMatchIsDelivered(t *testing.T) {
 	}
 }
 
-// respTap records the matches of every KindResponse the network delivers,
-// before the client's own dedup sees them.
-type respTap struct {
-	dht.Observer
-	raw map[query.ID][]query.Match
-}
-
-func (o *respTap) OnDeliver(at dht.Key, msg *dht.Message) {
-	if msg.Kind == KindResponse {
-		p := msg.Payload.(ResponseMsg)
-		o.raw[p.QueryID] = append(o.raw[p.QueryID], p.Matches...)
-	}
-	o.Observer.OnDeliver(at, msg)
-}
-
 type pair struct {
 	stream string
 	seq    uint64
@@ -227,7 +212,7 @@ func TestCandidateSetMatchesBruteForce(t *testing.T) {
 				cfg.MBRLifespan = 60 * sim.Minute
 				cfg.Seed = seed
 				eng, net, mw, ids := testClusterBare(t, 16, cfg)
-				tap := &respTap{Observer: mw.Collector(), raw: map[query.ID][]query.Match{}}
+				tap := &frameTap{Observer: mw.Collector()}
 				net.SetObserver(tap)
 				rng := sim.NewRand(seed).Fork("generated")
 
@@ -275,6 +260,12 @@ func TestCandidateSetMatchesBruteForce(t *testing.T) {
 				// Up to half the ring a hop per period, and the response.
 				eng.RunFor(12 * cfg.PushPeriod)
 
+				raw := map[query.ID][]query.Match{}
+				for _, f := range tap.frames {
+					for _, r := range f.items {
+						raw[r.QueryID] = append(raw[r.QueryID], r.Matches...)
+					}
+				}
 				early, late := 0, 0
 				for _, q := range queries {
 					what := fmt.Sprintf("query %d (r=%.2f)", q.id, q.r)
@@ -286,7 +277,7 @@ func TestCandidateSetMatchesBruteForce(t *testing.T) {
 					}
 					got := mw.SimilarityMatches(q.id)
 					have := pairSet(t, what+" at the client", got)
-					pairSet(t, what+" on the wire", tap.raw[q.id])
+					pairSet(t, what+" on the wire", raw[q.id])
 					for p := range want {
 						if !have[p] {
 							t.Errorf("%s: %s/%d inside the radius never reported", what, p.stream, p.seq)

@@ -21,7 +21,8 @@ const (
 	// middle key when the first answer or an expiring query cannot wait.
 	KindNotify
 	// KindResponse carries aggregated results from a middle node to the
-	// client that posed the query (§IV-F).
+	// client that posed the query (§IV-F): one query's (ResponseMsg), or
+	// one push period's responses for the same client (ResponseBatch).
 	KindResponse
 	// KindLocPut registers a (stream id -> source node) pair at the
 	// location-service node h2(sid) (§IV-D).
@@ -106,10 +107,18 @@ type NotifyBatch struct {
 	Items []NotifyItem
 }
 
-// ResponseMsg is the payload of KindResponse.
+// ResponseMsg is the payload of KindResponse carrying one query's
+// response: what its aggregator collected since the last one.
 type ResponseMsg struct {
 	QueryID query.ID
 	Matches []query.Match // may be empty: periodic "no new similarities"
+}
+
+// ResponseBatch is the payload of KindResponse carrying several queries'
+// responses of one push period from one middle node to one client, sorted
+// by query id. The client takes each item as if it had arrived alone.
+type ResponseBatch struct {
+	Items []ResponseMsg
 }
 
 // LocPut is the payload of KindLocPut.

@@ -14,7 +14,7 @@ import (
 // thresholds leave room for deliberate protocol changes only.
 const (
 	// maxSkewRatio bounds the balanced arm's p99/mean per-node load at 50
-	// nodes under Zipf(1.1) (measured 1.58; plain ring 2.13).
+	// nodes under Zipf(1.1) (measured 1.57; plain ring 2.20).
 	maxSkewRatio = 2.0
 	// At 500 nodes, koorde over chord: mean lookup hops strictly below
 	// (the de Bruijn claim; measured 0.934x), maintenance bandwidth

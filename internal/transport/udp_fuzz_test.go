@@ -15,9 +15,10 @@ import (
 )
 
 // fuzzSeedMessages covers every packed data-plane payload kind — the
-// original nine, the seven continuous-query-engine codecs, and the two
-// load-balancing codecs (replica tail, load gossip) — so the fuzzer
-// starts from well-formed frames of each and mutates from there.
+// original nine and the response batch, the seven continuous-query-engine
+// codecs, and the two load-balancing codecs (replica tail, load gossip) —
+// so the fuzzer starts from well-formed frames of each and mutates from
+// there.
 func fuzzSeedMessages() []*dht.Message {
 	mbr := &summary.MBR{
 		Lo: summary.Feature{0.1, -0.2, 0.3}, Hi: summary.Feature{0.2, -0.1, 0.4},
@@ -41,6 +42,9 @@ func fuzzSeedMessages() []*dht.Message {
 		}},
 		{Kind: core.KindResponse, Key: 1, Src: 2, Payload: core.ResponseMsg{
 			QueryID: 5, Matches: []query.Match{match},
+		}},
+		{Kind: core.KindResponse, Key: 1, Src: 2, Payload: core.ResponseBatch{
+			Items: []core.ResponseMsg{{QueryID: 5, Matches: []query.Match{match}}, {QueryID: 6}},
 		}},
 		{Kind: core.KindLocPut, Key: 1, Src: 2, Payload: core.LocPut{StreamID: "fuzz-stream", Source: 2}},
 		{Kind: core.KindLocGet, Key: 1, Src: 2, Payload: core.LocGet{StreamID: "fuzz-stream", Requester: 2}},

@@ -73,6 +73,10 @@ func TestUnmarshalAllocBounds(t *testing.T) {
 		"core.LocReply":    3,
 		"core.IPSub":       5, // msg + InnerProduct + string + index + weights
 		"core.IPResp":      2, // msg + box
+
+		// A response batch: msg + box + items + 2 match slices + 3 strings
+		// (the zero-match item allocates nothing).
+		"core.ResponseBatch": 8,
 		// Continuous-query-engine payloads. A decoded sketch costs the
 		// Sketch struct, its band slice, and one EH plus one bucket slice
 		// per band (the fixtures carry 3 populated bands).

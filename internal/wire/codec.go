@@ -157,10 +157,12 @@ func Unmarshal(frame []byte) (*dht.Message, error) {
 	return unmarshal(frame, nil)
 }
 
-// UnmarshalArena is Unmarshal carving the decoded message — and, for
-// codecs implementing ArenaDecoder, its payload objects — out of the given
-// arena. Wire behavior is identical; only where the copies live changes.
-// The frame slice is still never aliased.
+// UnmarshalArena is Unmarshal carving the decoded payload objects of
+// codecs implementing ArenaDecoder out of the given arena, together with
+// the message that carries them. Any other payload gets a heap message: an
+// arena message slot lives as long as its whole slab, and so would the
+// heap payload it points to. Wire behavior is identical; only where the
+// copies live changes. The frame slice is still never aliased.
 func UnmarshalArena(frame []byte, a *Arena) (*dht.Message, error) {
 	return unmarshal(frame, a)
 }
@@ -173,13 +175,7 @@ func unmarshal(frame []byte, a *Arena) (*dht.Message, error) {
 	if flags&flagReserved != 0 {
 		return nil, fmt.Errorf("wire: reserved envelope flag bit 7 set")
 	}
-	var msg *dht.Message
-	if a != nil {
-		msg = a.Msg()
-	} else {
-		msg = &dht.Message{}
-	}
-	*msg = dht.Message{
+	msg := dht.Message{
 		Kind:       dht.Kind(frame[0]),
 		Key:        dht.Key(binary.BigEndian.Uint64(frame[1:9])),
 		Src:        dht.Key(binary.BigEndian.Uint64(frame[9:17])),
@@ -226,7 +222,7 @@ func unmarshal(frame []byte, a *Arena) (*dht.Message, error) {
 		if len(body) != 0 {
 			return nil, fmt.Errorf("wire: %d trailing bytes on a payload-less frame", len(body))
 		}
-		return msg, nil
+		return carve(a, msg), nil
 	}
 	if len(body) < 1 {
 		return nil, fmt.Errorf("wire: payload without codec tag")
@@ -236,16 +232,31 @@ func unmarshal(frame []byte, a *Arena) (*dht.Message, error) {
 	if codec == nil {
 		return nil, fmt.Errorf("wire: no codec registered for payload tag %d", tag)
 	}
-	var p any
 	var err error
-	if ad, ok := codec.(ArenaDecoder); ok && a != nil {
-		p, err = ad.DecodeArena(body[1:], a)
+	ad, arena := codec.(ArenaDecoder)
+	if arena && a != nil {
+		msg.Payload, err = ad.DecodeArena(body[1:], a)
 	} else {
-		p, err = codec.Decode(body[1:])
+		msg.Payload, err = codec.Decode(body[1:])
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wire: decoding payload of kind %d: %w", msg.Kind, err)
 	}
-	msg.Payload = p
-	return msg, nil
+	if !arena {
+		a = nil
+	}
+	return carve(a, msg), nil
+}
+
+// carve moves a decoded message into the arena's message slab, or onto
+// the heap when a is nil.
+func carve(a *Arena, msg dht.Message) *dht.Message {
+	var m *dht.Message
+	if a == nil {
+		m = new(dht.Message)
+	} else {
+		m = a.Msg()
+	}
+	*m = msg
+	return m
 }

@@ -80,6 +80,16 @@ func roundTripCases() []*dht.Message {
 			Kind: core.KindResponse, Key: 5, Src: 220, Hops: 6, SentAt: 3_200_000,
 			Payload: core.ResponseMsg{QueryID: 9, Matches: matches()},
 		},
+		// One push period's responses for one client, a zero-match item
+		// among them.
+		{
+			Kind: core.KindResponse, Key: 5, Src: 220, Hops: 3, SentAt: 3_300_000,
+			Payload: core.ResponseBatch{Items: []core.ResponseMsg{
+				{QueryID: 9, Matches: matches()},
+				{QueryID: 10},
+				{QueryID: 12, Matches: matches()[:1]},
+			}},
+		},
 		{
 			Kind: core.KindLocPut, Key: 77, Src: 12, Hops: 3, SentAt: 400_000,
 			Payload: core.LocPut{StreamID: "s-42", Source: 12},
@@ -339,6 +349,62 @@ func TestMarshalRoundTripAllKinds(t *testing.T) {
 		want.Bytes = len(frame)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("kind %d round trip:\n got %#v\nwant %#v", want.Kind, got, want)
+		}
+	}
+}
+
+// TestResponseBatchRoundTrip covers the batch shapes a middle node sends —
+// no items, items without matches, a period's worth of items — through
+// Marshal/Unmarshal, with Sizeof charging exactly the frame length.
+func TestResponseBatchRoundTrip(t *testing.T) {
+	many := make([]core.ResponseMsg, 300)
+	for i := range many {
+		many[i].QueryID = query.ID(1000 + 7*i)
+		if i%3 != 0 {
+			many[i].Matches = matches()[:i%3]
+		}
+	}
+	for name, items := range map[string][]core.ResponseMsg{
+		"empty":       nil,
+		"zero-match":  {{QueryID: 1}, {QueryID: 2}, {QueryID: 1 << 40}},
+		"many items":  many,
+		"single item": {{QueryID: 3, Matches: matches()}},
+	} {
+		want := &dht.Message{Kind: core.KindResponse, Key: 5, Src: 220, Hops: 2, SentAt: 9,
+			Payload: core.ResponseBatch{Items: items}}
+		frame, err := wire.Marshal(want)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", name, err)
+		}
+		if got := wire.Sizeof(want.Payload); got != len(frame) {
+			t.Errorf("%s: Sizeof charges %d B, frame is %d B", name, got, len(frame))
+		}
+		got, err := wire.Unmarshal(frame)
+		if err != nil {
+			t.Fatalf("%s: Unmarshal: %v", name, err)
+		}
+		want.Bytes = len(frame)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: round trip:\n got %#v\nwant %#v", name, got, want)
+		}
+	}
+}
+
+// TestResponseBatchRejectsOversizedCount: an item count beyond the bytes
+// left in the frame is corrupt and must fail before anything is allocated
+// for it.
+func TestResponseBatchRejectsOversizedCount(t *testing.T) {
+	frame, err := wire.Marshal(&dht.Message{Kind: core.KindResponse, Key: 5, Src: 220,
+		Payload: core.ResponseBatch{Items: []core.ResponseMsg{{QueryID: 1}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := wire.HeaderBytes + 1 // after the envelope and the codec tag
+	for _, n := range []uint64{3, 200, 1 << 40} {
+		bad := wire.AppendUvarint(append([]byte(nil), frame[:count]...), n)
+		bad = append(bad, frame[count+1:]...)
+		if _, err := wire.Unmarshal(bad); err == nil {
+			t.Errorf("batch claiming %d items in %d bytes decoded", n, len(frame)-count-1)
 		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzUnmarshal hammers the frame decoder — envelope parsing and the packed
-// payload codecs behind every registered tag — with mutated frames. The corpus seeds cover all nine middleware payload kinds
+// payload codecs behind every registered tag — with mutated frames. The
+// corpus seeds cover every middleware payload, the response batch included,
 // and the ring-control payloads of every routing machine — the seven Chord
 // types and the nine Koorde types, including all three de Bruijn walk
 // phases of a KFindReq and the chain-probe piggyback of KStabReq/Resp —

@@ -38,10 +38,15 @@
 #                        (subscription, aggregate, top-k) on a live 5-node
 #                        TCP cluster must reproduce the simulator's answer
 #                        sets, a subscription must survive the scripted
-#                        crash of every covering node, and the data
+#                        crash of every covering node, the data
 #                        center's dispatch must route all 18 middleware
-#                        kinds, accepting exactly the worker-safe ones on
-#                        the data plane (TestDispatchEveryKind)
+#                        kinds and a response batch, accepting exactly the
+#                        worker-safe ones on the data plane
+#                        (TestDispatchEveryKind), and a middle node must
+#                        send one response frame per client per push
+#                        period with every response and match intact
+#                        (TestResponsesCoalescePerClient,
+#                        TestResponseFrameBudget)
 #  11. zero-alloc guards — the lock-free store walks (one shard and
 #                        eight, un-swept and in steady state), a sweep with
 #                        nothing to seal or drop, the standing-table walk
@@ -52,7 +57,10 @@
 #                        0.1 allocs;
 #                        the wire marshal and sizing paths stay
 #                        allocation-free and the heap decode (the arena
-#                        decode with a nil arena) keeps its alloc bounds
+#                        decode with a nil arena) keeps its alloc bounds,
+#                        the response batch's row included; a heap-decoded
+#                        payload is not pinned by the decode arena's
+#                        message slab
 #  12. benchmark module — vet and race-test benchmark/ (its own module,
 #                        compiled against this tree's exported surface),
 #                        then `bash benchmark/run.sh -smoke`: all four
@@ -147,16 +155,21 @@ echo "== continuous-query operator parity (race) =="
 # on a real 5-node TCP cluster, plus the scripted churn test: crash every
 # node covering a standing subscription and require detections to resume
 # from freshly re-homed registrations. The dispatch test drives one message
-# of every kind through Deliver and DeliverData.
+# of every kind, and a response batch, through Deliver and DeliverData; the
+# coalescing tests count response frames per (middle node, client) per push
+# period and split a period that passes the 64 KiB frame budget.
 go test -race -count=1 -run 'TestOperatorParitySimVsLive' ./internal/transport
-go test -race -count=1 -run 'TestSubscriptionSurvivesCoveringNodeCrash|TestDispatchEveryKind' ./internal/core
+go test -race -count=1 -run 'TestSubscriptionSurvivesCoveringNodeCrash|TestDispatchEveryKind|TestResponsesCoalescePerClient|TestResponseFrameBudget' ./internal/core
 
-echo "== zero-alloc guards (store walks, idle sweep, standing walk, dedup hit, amortized put, arena and heap decode) =="
+echo "== zero-alloc guards (store walks, idle sweep, standing walk, dedup hit, amortized put, arena and heap decode, response batch) =="
 # The lock-free read path is only lock-free if it also stays off the
 # allocator: a single alloc in the walk re-introduces GC coordination.
-# The write path must not creep back to a snapshot per put either.
+# The write path must not creep back to a snapshot per put either. Every
+# packed payload, the response batch included, keeps its decode alloc bound
+# (TestUnmarshalAllocBounds), and a heap-decoded payload must not stay
+# reachable through the arena's message slab after delivery.
 go test -count=1 \
-    -run 'TestShardedStoreZeroAllocWalk|TestAppendCandidatesZeroAllocs|TestGenStoreIdleSweepAndWalkZeroAllocs|TestGenStorePutAmortizedAllocs|TestArenaDecodeZeroAllocAmortized|TestStandingWalkZeroAllocs|TestSeqSetAddPresentZeroAllocs' \
+    -run 'TestShardedStoreZeroAllocWalk|TestAppendCandidatesZeroAllocs|TestGenStoreIdleSweepAndWalkZeroAllocs|TestGenStorePutAmortizedAllocs|TestArenaDecodeZeroAllocAmortized|TestArenaSlabPinsNoHeapPayload|TestStandingWalkZeroAllocs|TestSeqSetAddPresentZeroAllocs' \
     ./internal/core
 go test -count=1 -run 'TestAppendMarshalZeroAllocs|TestSizeofZeroAllocsPacked|TestUnmarshalAllocBounds' ./internal/wire
 
